@@ -42,7 +42,7 @@ from .graphs import (
     save_edge_list,
     similarity_matrix,
 )
-from .linalg import SparseSymMatrix, hadamard, matmul, relu, softmax_rows, spmm
+from .linalg import SparseSymMatrix, matmul, relu, softmax_rows, spmm
 from .model import (
     ForwardCache,
     Gradients,

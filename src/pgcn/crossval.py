@@ -3,8 +3,7 @@
 Every repeat draws one stratified train/validation split that is shared
 by all arms, so per-repeat metrics are legitimately paired and the
 reported t-tests are valid.  Each repeat also derives an independent
-training seed from ``(seed, repeat)``; results are identical whether
-repeats run serially or concurrently.
+training seed from ``(seed, repeat)``.
 """
 
 from dataclasses import dataclass, field

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DataError, ParameterError, ShapeError
 from .linalg import SparseSymMatrix, as_dense
@@ -165,32 +166,11 @@ def normalize(w):
     """Self-loop-augmented symmetric normalization D^{-1/2} (W + I) D^{-1/2}."""
     if not isinstance(w, SparseSymMatrix):
         w = SparseSymMatrix.from_dense(w)
-    n = w.dim
-    deg = w.row_sums() + 1.0  # +1 from the identity self-loop
-    inv_sqrt = 1.0 / np.sqrt(deg)
-
-    # pattern of W + I: W's off-diagonal entries plus a full diagonal
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = []
-    data = []
-    for i in range(n):
-        lo, hi = w.indptr[i], w.indptr[i + 1]
-        cols = w.indices[lo:hi]
-        vals = w.data[lo:hi]
-        pos = int(np.searchsorted(cols, i))
-        if pos < len(cols) and cols[pos] == i:
-            row_cols = cols.copy()
-            row_vals = vals.copy()
-            row_vals[pos] += 1.0
-        else:
-            row_cols = np.insert(cols, pos, i)
-            row_vals = np.insert(vals, pos, 1.0)
-        indices.append(row_cols)
-        data.append(row_vals * inv_sqrt[i] * inv_sqrt[row_cols])
-        indptr[i + 1] = indptr[i] + len(row_cols)
-    indices = np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64)
-    data = np.concatenate(data) if data else np.zeros(0)
-    return SparseSymMatrix(n, indptr, indices, data)
+    inv_sqrt = 1.0 / np.sqrt(w.row_sums() + 1.0)  # +1 from the identity self-loop
+    a = w.scipy() + scipy.sparse.identity(w.dim, format="csr")
+    rows = np.repeat(np.arange(w.dim), np.diff(a.indptr))
+    # (W + I)_ij * s_i * s_j, multiplied in that order
+    return SparseSymMatrix(w.dim, a.indptr, a.indices, a.data * inv_sqrt[rows] * inv_sqrt[a.indices])
 
 
 def random_graph(n, density, seed):

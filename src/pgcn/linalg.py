@@ -19,7 +19,6 @@ __all__ = [
     "spmm",
     "relu",
     "softmax_rows",
-    "hadamard",
 ]
 
 # Value tolerance when checking that a sparse matrix is symmetric.
@@ -56,15 +55,6 @@ def softmax_rows(a):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def hadamard(a, b):
-    """Elementwise product of two equally shaped matrices."""
-    a = as_dense(a, "left operand")
-    b = as_dense(b, "right operand")
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard operands differ in shape: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def spmm(s, b):
     """Sparse-dense product ``s @ b`` for a symmetric sparse operator."""
     if not isinstance(s, SparseSymMatrix):
@@ -76,7 +66,7 @@ def spmm(s, b):
 
 
 class SparseSymMatrix:
-    """Symmetric sparse matrix in CSR form.
+    """Symmetric sparse matrix: a validated, frozen ``scipy.sparse.csr_matrix``.
 
     Structure is validated on construction: column indices strictly
     increasing within each row, the nonzero pattern symmetric, paired
@@ -84,44 +74,19 @@ class SparseSymMatrix:
     underlying arrays are frozen after validation.
     """
 
-    __slots__ = ("dim", "indptr", "indices", "data", "_csr")
+    __slots__ = ("dim", "_csr")
 
     def __init__(self, dim, indptr, indices, data, validate=True):
         self.dim = int(dim)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self._csr = None
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        data = np.asarray(data, dtype=np.float64)
         if validate:
-            self._validate()
+            _validate_structure(self.dim, indptr, indices, data)
+        self._csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim), copy=True)
+        if validate:
+            _validate_symmetry(self._csr)
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
-
-    def _validate(self):
-        n = self.dim
-        if n < 0:
-            raise ShapeError("dimension must be nonnegative")
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
-            raise DataError("malformed CSR row offsets")
-        if np.any(np.diff(self.indptr) < 0):
-            raise DataError("CSR row offsets must be nondecreasing")
-        if len(self.indices) != len(self.data):
-            raise DataError("CSR index and value arrays differ in length")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise DataError("CSR column index out of range")
-        for i in range(n):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise DataError(f"column indices not strictly increasing in row {i}")
-        if not np.all(np.isfinite(self.data)):
-            raise DataError("sparse matrix contains non-finite values")
-        # Symmetry: identical pattern under transpose and matching values.
-        t = self.scipy().T.tocsr()
-        t.sort_indices()
-        if not (np.array_equal(t.indptr, self.indptr) and np.array_equal(t.indices, self.indices)):
-            raise DataError("sparse matrix pattern is not symmetric")
-        if t.data.size and np.max(np.abs(t.data - self.data)) > SYMMETRY_TOL:
-            raise DataError("sparse matrix values are not symmetric")
 
     @classmethod
     def from_dense(cls, a, validate=True):
@@ -129,42 +94,36 @@ class SparseSymMatrix:
         a = as_dense(a)
         if a.shape[0] != a.shape[1]:
             raise ShapeError(f"expected a square matrix, got {a.shape}")
-        n = a.shape[0]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        cols = []
-        vals = []
-        for i in range(n):
-            nz = np.flatnonzero(a[i])
-            cols.append(nz)
-            vals.append(a[i, nz])
-            indptr[i + 1] = indptr[i] + len(nz)
-        indices = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        data = np.concatenate(vals) if vals else np.zeros(0)
-        return cls(n, indptr, indices, data, validate=validate)
+        csr = scipy.sparse.csr_matrix(a)
+        return cls(a.shape[0], csr.indptr, csr.indices, csr.data, validate=validate)
 
     @classmethod
     def identity(cls, n):
         return cls(n, np.arange(n + 1), np.arange(n), np.ones(n), validate=False)
 
     @property
+    def indptr(self):
+        return self._csr.indptr
+
+    @property
+    def indices(self):
+        return self._csr.indices
+
+    @property
+    def data(self):
+        return self._csr.data
+
+    @property
     def nnz(self):
-        return len(self.data)
+        return self._csr.nnz
 
     def scipy(self):
-        """The equivalent ``scipy.sparse.csr_matrix`` (cached)."""
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.dim, self.dim)
-            )
+        """The underlying ``scipy.sparse.csr_matrix``; its arrays are read-only."""
         return self._csr
 
     def to_dense(self):
-        """Expand to a dense array by walking the CSR arrays directly."""
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out[i, self.indices[lo:hi]] = self.data[lo:hi]
-        return out
+        """Expand to a dense array."""
+        return self._csr.toarray()
 
     def row_sums(self):
         sums = np.zeros(self.dim)
@@ -174,3 +133,35 @@ class SparseSymMatrix:
 
     def __repr__(self):
         return f"SparseSymMatrix(dim={self.dim}, nnz={self.nnz})"
+
+
+def _validate_structure(n, indptr, indices, data):
+    """Check raw CSR arrays before scipy wraps them; finiteness included."""
+    if n < 0:
+        raise ShapeError("dimension must be nonnegative")
+    if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(indices):
+        raise DataError("malformed CSR row offsets")
+    row_lengths = np.diff(indptr)
+    if np.any(row_lengths < 0):
+        raise DataError("CSR row offsets must be nondecreasing")
+    if len(indices) != len(data):
+        raise DataError("CSR index and value arrays differ in length")
+    if len(indices) and (indices.min() < 0 or indices.max() >= n):
+        raise DataError("CSR column index out of range")
+    # A step between neighbouring entries must increase unless it starts a new row.
+    rows = np.repeat(np.arange(n), row_lengths)
+    bad = np.flatnonzero((np.diff(indices) <= 0) & (np.diff(rows) == 0))
+    if bad.size:
+        raise DataError(f"column indices not strictly increasing in row {int(rows[bad[0]])}")
+    if not np.all(np.isfinite(data)):
+        raise DataError("sparse matrix contains non-finite values")
+
+
+def _validate_symmetry(csr):
+    """Identical pattern under transpose and values matching within ``SYMMETRY_TOL``."""
+    t = csr.T.tocsr()
+    t.sort_indices()
+    if not (np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)):
+        raise DataError("sparse matrix pattern is not symmetric")
+    if t.data.size and np.max(np.abs(t.data - csr.data)) > SYMMETRY_TOL:
+        raise DataError("sparse matrix values are not symmetric")

@@ -7,11 +7,11 @@ regularized incomplete beta function.  Splits are stratified random
 train/validation partitions, independently re-drawn per repeat.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 from .errors import DataError, DegenerateInputError, ParameterError
 
@@ -40,7 +40,7 @@ def accuracy(probs, y, mask):
 
 
 def auc(scores, labels):
-    """Area under the ROC curve via the rank-sum statistic.
+    """Area under the ROC curve as the Mann-Whitney pair count.
 
     Equals the probability that a uniformly random positive subject
     receives a higher score than a uniformly random negative one, with
@@ -55,9 +55,13 @@ def auc(scores, labels):
     n_neg = int(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ParameterError("AUC needs at least one positive and one negative subject")
-    ranks = rankdata(scores)  # average ranks on ties
-    rank_sum = float(ranks[positive].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if np.isnan(scores).any():
+        return math.nan  # NaN scores have no ranking
+    negatives, positives = np.sort(scores[~positive]), scores[positive]
+    below = np.searchsorted(negatives, positives, "left")
+    at_or_below = np.searchsorted(negatives, positives, "right")
+    wins = float(below.sum()) + 0.5 * float((at_or_below - below).sum())
+    return wins / (n_pos * n_neg)
 
 
 def paired_t_test(a, b):
@@ -77,7 +81,7 @@ def paired_t_test(a, b):
     if sd == 0.0:
         raise DegenerateInputError("differences have zero variance (identical arms?)")
     n = len(d)
-    t = float(d.mean()) / (sd / np.sqrt(n))
+    t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pgcn
 from pgcn.cli import main
 from pgcn.model import load_checkpoint
 
@@ -142,3 +146,14 @@ class TestRankReport:
         code = main(["rank-report", str(bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:data:")
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of the package's import time, and every CLI call pays it
+    src = os.path.dirname(os.path.dirname(pgcn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import pgcn.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -172,6 +172,21 @@ class TestNormalize:
         expected = (dense_w + np.eye(8)) / np.sqrt(np.outer(deg, deg))
         np.testing.assert_allclose(normalize(w).to_dense(), expected, atol=1e-14)
 
+    def test_exact_entries_with_isolated_vertex_and_diagonal_weight(self):
+        dense = np.zeros((4, 4))
+        dense[0, 1] = dense[1, 0] = 0.3
+        dense[1, 2] = dense[2, 1] = 0.7
+        dense[1, 1] = 0.45  # explicit diagonal weight; vertex 3 is isolated
+        a_hat = normalize(SparseSymMatrix.from_dense(dense))
+        s = 1.0 / np.sqrt(dense.sum(axis=1) + 1.0)
+        w_plus_i = dense + np.eye(4)
+        rows, cols = np.nonzero(w_plus_i)
+        np.testing.assert_array_equal(a_hat.indptr, [0, 2, 5, 7, 8])
+        np.testing.assert_array_equal(a_hat.indices, cols)
+        # bitwise equality with (W + I)_ij * s_i * s_j, multiplied in that order
+        np.testing.assert_array_equal(a_hat.data, w_plus_i[rows, cols] * s[rows] * s[cols])
+        assert a_hat.to_dense()[3, 3] == 1.0
+
 
 class TestRandomGraph:
     def test_deterministic(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pgcn.errors import DataError, ShapeError
-from pgcn.linalg import SparseSymMatrix, hadamard, matmul, relu, softmax_rows, spmm
+from pgcn.linalg import SparseSymMatrix, matmul, relu, softmax_rows, spmm
 
 
 def random_symmetric_sparse(n, density, rng):
@@ -121,27 +121,6 @@ class TestSoftmaxRows:
         assert np.max(np.abs(softmax_rows(a) - softmax_rows(shifted))) <= 1e-12
 
 
-class TestHadamard:
-    def test_identity_element(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-
-    def test_annihilator(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-    def test_masking(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(hadamard(a, m), np.array([[0.0, 2.0], [3.0, 0.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
 class TestSparseSymMatrix:
     def test_round_trip(self):
         rng = np.random.default_rng(9)
@@ -167,14 +146,36 @@ class TestSparseSymMatrix:
         with pytest.raises(DataError):
             SparseSymMatrix(2, [0, 1, 2], [1, 0], [np.inf, np.inf])
 
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(DataError):
-            SparseSymMatrix(3, [0, 2, 3, 4], [2, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])
+    @pytest.mark.parametrize(
+        "indptr, indices, bad_row",
+        [
+            ([0, 2, 3, 4], [2, 1, 0, 0], 0),      # decrease in the first row
+            ([0, 1, 3, 3], [1, 0, 0], 1),         # column repeated inside a row
+            ([0, 2, 2, 4], [1, 2, 2, 0], 2),      # decrease in a later row, after an empty row
+        ],
+        ids=["first-row-decrease", "repeated-column", "later-row-decrease"],
+    )
+    def test_rejects_unsorted_indices(self, indptr, indices, bad_row):
+        with pytest.raises(DataError, match=f"in row {bad_row}$"):
+            SparseSymMatrix(3, indptr, indices, np.ones(len(indices)))
+
+    def test_accepts_column_drop_across_empty_row(self):
+        # row 0 ends at column 2, row 1 is empty, row 2 starts at column 0
+        s = SparseSymMatrix(3, [0, 1, 1, 2], [2, 0], [5.0, 5.0])
+        expected = np.zeros((3, 3))
+        expected[0, 2] = expected[2, 0] = 5.0
+        np.testing.assert_array_equal(s.to_dense(), expected)
 
     def test_row_sums(self):
         dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 3.0], [0.0, 3.0, 0.0]])
         s = SparseSymMatrix.from_dense(dense)
         np.testing.assert_array_equal(s.row_sums(), dense.sum(axis=1))
+
+    def test_constructor_copies_its_input(self):
+        data = np.array([1.0, 1.0])
+        s = SparseSymMatrix(2, [0, 1, 2], [1, 0], data)
+        data[0] = 5.0
+        np.testing.assert_array_equal(s.data, [1.0, 1.0])
 
     def test_immutability(self):
         s = SparseSymMatrix.identity(3)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_auc
 
+from pgcn.crossval import Comparison, CvReport
 from pgcn.errors import DataError, DegenerateInputError, ParameterError
 from pgcn.stats import accuracy, auc, paired_t_test, stratified_mc_split
 
@@ -54,6 +55,9 @@ class TestAuc:
         # pairs: (.8,.6) win, (.8,.1) win, (.3,.6) loss, (.3,.1) win -> 3/4
         assert auc([0.8, 0.3, 0.6, 0.1], [1, 1, 0, 0]) == 0.75
 
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc([0.2, np.nan, 0.7, 0.1], [1, 0, 1, 0]))
+
     def test_single_class_rejected(self):
         with pytest.raises(ParameterError):
             auc([0.1, 0.2], [1, 1])
@@ -96,6 +100,15 @@ class TestPairedTTest:
         assert t == pytest.approx(3.4641, abs=1e-4)
         assert p == pytest.approx(0.0742, abs=1e-3)
         assert p == pytest.approx(t_p_value_oracle(t, df=2), abs=1e-14)
+
+    def test_t_is_plain_float_and_renders_bare(self):
+        t, p = paired_t_test([0.9, 0.8, 0.85, 0.95], [0.7, 0.75, 0.6, 0.8])
+        assert type(t) is float
+        assert type(p) is float
+        report = CvReport(arms=[], comparisons=[Comparison("a", "b", t, p)], repeats=4, val_fraction=0.1, seed=0)
+        text = report.render()
+        assert f"  t = {t!r}\n" in text
+        assert "np.float64" not in text
 
     def test_identical_arms_degenerate(self):
         with pytest.raises(DegenerateInputError):
