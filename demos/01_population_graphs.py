@@ -10,6 +10,9 @@ propagation operator is the symmetrically normalized weight matrix with
 self-loops.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from pgcn import (
@@ -67,7 +70,9 @@ print(f"pipeline graph '{graph.source}': {graph.edge_count} edges, density {grap
 rand = random_graph(40, density=graph.density, seed=3)
 print(f"random graph at matched density: {rand.edge_count} edges")
 
-save_edge_list(graph, "/tmp/pgcn_demo_graph.txt")
-reloaded = load_edge_list("/tmp/pgcn_demo_graph.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "graph.txt")
+    save_edge_list(graph, path)
+    reloaded = load_edge_list(path)
 print(f"edge-list round trip: weights identical = "
       f"{np.array_equal(reloaded.weights.to_dense(), graph.weights.to_dense())}")

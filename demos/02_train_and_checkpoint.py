@@ -9,6 +9,9 @@ enter the loss.  The ranking weights stay frozen at 1/M during the
 warm-up epochs, then train with everything else.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from pgcn import (
@@ -41,13 +44,15 @@ print(f"\nomega at warm-up end : {np.round(omegas[19], 4)}")
 print(f"omega five epochs on : {np.round(omegas[24], 4)}")
 
 # Histories export as CSV (epoch, losses, accuracy, one omega column per
-# graph) -- the raw material for a weight-trajectory plot.
-history.to_csv("/tmp/pgcn_demo_history.csv")
-print("\nhistory written to /tmp/pgcn_demo_history.csv")
-
-# Checkpoints round-trip bit-exactly.
-save_checkpoint(params, config.seed, "/tmp/pgcn_demo_model.npz")
-restored, seed = load_checkpoint("/tmp/pgcn_demo_model.npz")
+# graph) -- the raw material for a weight-trajectory plot -- and
+# checkpoints round-trip bit-exactly.  Both files go to a temporary
+# directory that is removed after the block.
+with tempfile.TemporaryDirectory() as tmp:
+    history.to_csv(os.path.join(tmp, "history.csv"))
+    with open(os.path.join(tmp, "history.csv")) as fh:
+        print(f"\nhistory CSV header: {fh.readline().strip()}")
+    save_checkpoint(params, config.seed, os.path.join(tmp, "model.npz"))
+    restored, seed = load_checkpoint(os.path.join(tmp, "model.npz"))
 ops = [g.normalized for g in graphs]
 same = np.array_equal(
     forward(dataset.X, ops, params).probs,

@@ -9,6 +9,9 @@ matched density.  Every arm trains on the same stratified Monte-Carlo
 splits so the paired t-tests are valid.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from pgcn import (
@@ -37,7 +40,11 @@ config = ExperimentConfig(
     repeats=5,
 )
 
-report = run_experiment(dataset, config, out_dir="/tmp/pgcn_demo_study")
+# run_experiment writes report.txt and one history CSV per training run;
+# here they go to a temporary directory that is removed after the block.
+with tempfile.TemporaryDirectory() as tmp:
+    report = run_experiment(dataset, config, out_dir=tmp)
+    summaries = rank_report([os.path.join(tmp, f"history_trainable_rep{r}.csv") for r in range(5)])
 
 print("accuracy by arm (mean +/- sd over shared splits):")
 for arm in report.arms:
@@ -54,6 +61,4 @@ omega = np.asarray(history.records[-1].omega)
 print(f"\ntrainable arm, repeat 0: final omega = {np.round(omega, 4)}")
 print("  -> omega_1 (informative) should dominate omega_2 (nuisance)")
 
-summaries = rank_report([f"/tmp/pgcn_demo_study/history_trainable_rep{r}.csv" for r in range(5)])
 print("\n" + render_rank_report(summaries))
-print("full report at /tmp/pgcn_demo_study/report.txt")

@@ -45,7 +45,6 @@ from .graphs import (
 from .linalg import SparseSymMatrix, matmul, relu, softmax_rows, spmm
 from .model import (
     ForwardCache,
-    Gradients,
     ModelParams,
     backward,
     branch_forward,

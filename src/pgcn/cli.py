@@ -10,7 +10,6 @@ as one ``error:<code>: <message>`` line on stderr with a nonzero exit.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -23,6 +22,7 @@ from .experiments import (
     ExperimentSpec,
     build_arm_graphs,
     load_experiment_config,
+    load_train_config,
     rank_report,
     render_rank_report,
     run_experiment,
@@ -32,7 +32,7 @@ from .graphs import random_graph, save_edge_list
 from .model import backward
 from .model import forward as forward_eval
 from .model import init_params, save_checkpoint
-from .training import TrainConfig, grad_check, train
+from .training import grad_check, train
 
 GRADCHECK_THRESHOLD = 1e-5
 
@@ -48,32 +48,6 @@ def _add_dataset_args(parser):
     parser.add_argument("--features", required=True, help="features CSV (one subject per row)")
     parser.add_argument("--meta", required=True, help="metadata CSV (subject_id + name:kind columns)")
     parser.add_argument("--labels", required=True, help="labels CSV (subject_id,label)")
-
-
-def _load_train_config(path):
-    """Parse a JSON file holding train settings plus graph options."""
-    if path is None:
-        return TrainConfig(), {}, "pearson", "trainable"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = sorted(set(payload) - {"train", "betas", "metric", "omega"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
-    try:
-        config = TrainConfig(**payload.get("train", {}))
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad train settings: {exc}") from exc
-    betas = {k: float(v) for k, v in payload.get("betas", {}).items()}
-    metric = str(payload.get("metric", "pearson"))
-    omega = payload.get("omega", "trainable")
-    return config, betas, metric, omega
 
 
 def cmd_synth(args):
@@ -93,7 +67,7 @@ def cmd_build_graph(args):
         seed = args.seed if args.seed is not None else 0
         graph = random_graph(dataset.n_subjects, args.density, seed=seed)
     else:
-        _, betas, metric, _ = _load_train_config(args.config)
+        _, betas, metric, _ = load_train_config(args.config)
         col = dataset.column(args.element)
         beta = args.beta if args.beta is not None else betas.get(args.element)
         graph = build_metadata_graph(col, dataset.X, beta=beta, metric=metric)
@@ -106,15 +80,11 @@ def cmd_build_graph(args):
 
 def cmd_train(args):
     dataset = load_dataset(args.features, args.meta, args.labels)
-    config, betas, metric, omega = _load_train_config(args.config)
+    config, betas, metric, fixed_omega = load_train_config(args.config)
     if args.seed is not None:
         config = config.with_seed(args.seed)
     sources = tuple(s.strip() for s in args.graphs.split(",") if s.strip())
-    spec = ExperimentSpec(
-        name="train",
-        graph_sources=sources,
-        fixed_omega=None if omega == "trainable" else tuple(omega),
-    )
+    spec = ExperimentSpec(name="train", graph_sources=sources, fixed_omega=fixed_omega)
     exp = ExperimentConfig(arms=(spec,), train=config, betas=betas, metric=metric)
     graphs = build_arm_graphs(dataset, spec, exp)
     params, history = train(dataset, graphs, config, fixed_omega=spec.fixed_omega)
@@ -184,8 +154,7 @@ def gradcheck_instance(seed, n=12, d=5, h=4, k=2, m=2, n_labeled=8, l2_lambda=5e
         params = init_params(d, h, k, m, seed=param_rng)
         cache = forward_eval(x, ops, params)
         grads = backward(cache, dataset.Y, mask, params, l2_lambda)
-        smallest = min(float(np.min(np.abs(g))) for _, g in grads.tensors())
-        if smallest >= 2e-5:
+        if np.min(np.abs(grads.vector)) >= 2e-5:
             return dataset, graphs, params
 
 

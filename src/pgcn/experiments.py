@@ -23,6 +23,7 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentConfig",
     "load_experiment_config",
+    "load_train_config",
     "build_arm_graphs",
     "run_experiment",
     "RankSummary",
@@ -100,6 +101,15 @@ class ExperimentConfig:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _parse_omega(omega, label):
+    """``"trainable"`` gives None; a list of numbers gives the fixed weights."""
+    if omega == "trainable":
+        return None
+    if isinstance(omega, list) and all(isinstance(w, (int, float)) for w in omega):
+        return tuple(float(w) for w in omega)
+    raise ConfigError(f"{label}: 'omega' must be \"trainable\" or a list of numbers")
+
+
 def _parse_arm(entry, index):
     if not isinstance(entry, dict):
         raise ConfigError(f"arm #{index} must be an object")
@@ -109,18 +119,24 @@ def _parse_arm(entry, index):
     sources = entry.get("graph_sources")
     if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
         raise ConfigError(f"arm {name!r}: 'graph_sources' must be a list of strings")
-    omega = entry.get("omega", "trainable")
-    if omega == "trainable":
-        fixed = None
-    elif isinstance(omega, list) and all(isinstance(w, (int, float)) for w in omega):
-        fixed = tuple(float(w) for w in omega)
-    else:
-        raise ConfigError(f"arm {name!r}: 'omega' must be \"trainable\" or a list of numbers")
+    fixed = _parse_omega(entry.get("omega", "trainable"), f"arm {name!r}")
     return ExperimentSpec(name=name, graph_sources=tuple(sources), fixed_omega=fixed)
 
 
-def load_experiment_config(path):
-    """Parse a JSON experiment file into an :class:`ExperimentConfig`."""
+def _number(value, kind, label):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label} must be a number, got {value!r}") from exc
+
+
+def _read_config(path, extra_keys):
+    """Read a JSON object and parse its ``train``, ``betas`` and ``metric`` keys.
+
+    Keys other than those three and ``extra_keys`` are rejected.  Returns
+    ``(payload, fields)``; ``fields`` holds the three parsed values under
+    :class:`ExperimentConfig`'s field names.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -130,14 +146,9 @@ def load_experiment_config(path):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    known = {"arms", "train", "repeats", "val_fraction", "betas", "metric"}
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(payload) - extra_keys - {"train", "betas", "metric"})
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
-    arms_entry = payload.get("arms")
-    if not isinstance(arms_entry, list) or not arms_entry:
-        raise ConfigError(f"{path}: 'arms' must be a nonempty list")
-    arms = tuple(_parse_arm(e, i) for i, e in enumerate(arms_entry))
     train_entry = payload.get("train", {})
     if not isinstance(train_entry, dict):
         raise ConfigError(f"{path}: 'train' must be an object")
@@ -148,14 +159,39 @@ def load_experiment_config(path):
     betas = payload.get("betas", {})
     if not isinstance(betas, dict):
         raise ConfigError(f"{path}: 'betas' must be an object")
+    fields = {
+        "train": train,
+        "betas": {k: _number(v, float, f"{path}: beta {k!r}") for k, v in betas.items()},
+        "metric": str(payload.get("metric", "pearson")),
+    }
+    return payload, fields
+
+
+def load_experiment_config(path):
+    """Parse a JSON experiment file into an :class:`ExperimentConfig`."""
+    payload, fields = _read_config(path, {"arms", "repeats", "val_fraction"})
+    arms_entry = payload.get("arms")
+    if not isinstance(arms_entry, list) or not arms_entry:
+        raise ConfigError(f"{path}: 'arms' must be a nonempty list")
     return ExperimentConfig(
-        arms=arms,
-        train=train,
-        repeats=int(payload.get("repeats", 10)),
-        val_fraction=float(payload.get("val_fraction", 0.1)),
-        betas={k: float(v) for k, v in betas.items()},
-        metric=str(payload.get("metric", "pearson")),
+        arms=tuple(_parse_arm(e, i) for i, e in enumerate(arms_entry)),
+        repeats=_number(payload.get("repeats", 10), int, f"{path}: 'repeats'"),
+        val_fraction=_number(payload.get("val_fraction", 0.1), float, f"{path}: 'val_fraction'"),
+        **fields,
     )
+
+
+def load_train_config(path):
+    """Parse the JSON file of ``train`` and ``build-graph``.
+
+    Returns ``(train, betas, metric, fixed_omega)``; ``path=None`` gives the
+    defaults, and ``fixed_omega`` is None for a trainable ranking layer.
+    """
+    if path is None:
+        return TrainConfig(), {}, "pearson", None
+    payload, fields = _read_config(path, {"omega"})
+    fixed_omega = _parse_omega(payload.get("omega", "trainable"), path)
+    return fields["train"], fields["betas"], fields["metric"], fixed_omega
 
 
 def _resolve_source(dataset, source, config, seed_parts, reference_density):

@@ -166,7 +166,12 @@ def normalize(w):
     """Self-loop-augmented symmetric normalization D^{-1/2} (W + I) D^{-1/2}."""
     if not isinstance(w, SparseSymMatrix):
         w = SparseSymMatrix.from_dense(w)
-    inv_sqrt = 1.0 / np.sqrt(w.row_sums() + 1.0)  # +1 from the identity self-loop
+    degrees = w.row_sums() + 1.0  # +1 from the identity self-loop
+    bad = np.flatnonzero(degrees <= 0)
+    if bad.size:
+        raise DataError(f"vertex {bad[0]} has degree {float(degrees[bad[0]])!r} <= 0 (1 + row sum); "
+                        "normalization needs positive degrees")
+    inv_sqrt = 1.0 / np.sqrt(degrees)
     a = w.scipy() + scipy.sparse.identity(w.dim, format="csr")
     rows = np.repeat(np.arange(w.dim), np.diff(a.indptr))
     # (W + I)_ij * s_i * s_j, multiplied in that order

@@ -24,7 +24,6 @@ from .linalg import SparseSymMatrix, as_dense, relu, softmax_rows, spmm
 
 __all__ = [
     "ModelParams",
-    "Gradients",
     "BranchCache",
     "ForwardCache",
     "init_params",
@@ -37,24 +36,40 @@ __all__ = [
 ]
 
 
-@dataclass
 class ModelParams:
-    """Per-branch layer weights plus the ranking weights.
+    """Per-branch layer weights plus the ranking weights, in one vector.
 
     ``theta0[m]`` maps d -> h, ``theta1[m]`` maps h -> K, and ``omega`` has
-    one scalar per branch.  Mutated in place by the optimizer.
+    one scalar per branch.  The constructor copies its inputs into the
+    float64 ``vector``; every tensor is a view into it, laid out in
+    :meth:`tensors` order.  Gradients and Adam moments use the same class,
+    so the optimizer works on whole vectors.  Assigning ``omega`` writes
+    through to the vector.
     """
 
-    theta0: list
-    theta1: list
-    omega: np.ndarray
-
-    def __post_init__(self):
-        if len(self.theta0) != len(self.theta1) or len(self.theta0) != len(self.omega):
+    def __init__(self, theta0, theta1, omega):
+        if len(theta0) != len(theta1) or len(theta0) != len(omega):
             raise ShapeError("theta lists and omega must have one entry per branch")
-        if len(self.theta0) < 1:
+        if len(theta0) < 1:
             raise ParameterError("model needs at least one branch")
-        self.omega = np.asarray(self.omega, dtype=np.float64)
+        tensors = [np.asarray(t, dtype=np.float64) for t in [*theta0, *theta1, omega]]
+        self.vector = np.concatenate([t.ravel() for t in tensors])
+        self.layout = tuple(t.shape for t in tensors)
+        parts = np.split(self.vector, np.cumsum([t.size for t in tensors])[:-1])
+        views = [part.reshape(t.shape) for part, t in zip(parts, tensors)]
+        m = len(theta0)
+        self.theta0, self.theta1, self._omega = tuple(views[:m]), tuple(views[m:-1]), views[-1]
+
+    @property
+    def omega(self):
+        return self._omega
+
+    @omega.setter
+    def omega(self, value):
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != self._omega.shape:
+            raise ShapeError(f"omega needs shape {self._omega.shape}, got {value.shape}")
+        self._omega[...] = value
 
     @property
     def n_branches(self):
@@ -73,30 +88,10 @@ class ModelParams:
         return self.theta1[0].shape[1]
 
     def copy(self):
-        return ModelParams(
-            theta0=[t.copy() for t in self.theta0],
-            theta1=[t.copy() for t in self.theta1],
-            omega=self.omega.copy(),
-        )
+        return ModelParams(self.theta0, self.theta1, self.omega)
 
     def tensors(self):
         """(name, array) pairs over every trainable tensor, fixed order."""
-        for m, t in enumerate(self.theta0):
-            yield f"theta0[{m}]", t
-        for m, t in enumerate(self.theta1):
-            yield f"theta1[{m}]", t
-        yield "omega", self.omega
-
-
-@dataclass
-class Gradients:
-    """Same layout as ModelParams; produced by :func:`backward`."""
-
-    theta0: list
-    theta1: list
-    omega: np.ndarray
-
-    def tensors(self):
         for m, t in enumerate(self.theta0):
             yield f"theta0[{m}]", t
         for m, t in enumerate(self.theta1):
@@ -282,7 +277,7 @@ def backward(cache, y, labeled_mask, params, l2_lambda=0.0):
         grad_theta0.append(g_t0)
         grad_theta1.append(g_t1)
 
-    return Gradients(theta0=grad_theta0, theta1=grad_theta1, omega=grad_omega)
+    return ModelParams(theta0=grad_theta0, theta1=grad_theta1, omega=grad_omega)
 
 
 def save_checkpoint(params, seed, path):

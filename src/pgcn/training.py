@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConsistencyError, DataError, ParameterError
 from .graphs import AffinityGraph
 from .linalg import as_dense
-from .model import Gradients, backward, forward, init_params
+from .model import ModelParams, backward, forward, init_params
 from .stats import accuracy, stratified_mc_split
 
 __all__ = [
@@ -164,38 +164,32 @@ def loss(probs, y, labeled_mask, params=None, l2_lambda=0.0):
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, shaped like the parameters."""
+    """First and second moment accumulators, laid out like the parameters."""
 
-    m: Gradients
-    v: Gradients
+    m: ModelParams
+    v: ModelParams
 
 
 def init_adam_state(params):
-    def zeros():
-        return Gradients(
-            theta0=[np.zeros_like(t) for t in params.theta0],
-            theta1=[np.zeros_like(t) for t in params.theta1],
-            omega=np.zeros_like(params.omega),
-        )
-
-    return AdamState(m=zeros(), v=zeros())
+    zeros = params.copy()
+    zeros.vector[:] = 0.0
+    return AdamState(m=zeros, v=zeros.copy())
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
-    """One bias-corrected Adam update, applied in place to every tensor."""
+    """One bias-corrected Adam update, applied in place to the parameter vector."""
     if t < 1:
         raise ParameterError(f"Adam step count must be >= 1, got {t}")
+    if not params.layout == grads.layout == state.m.layout == state.v.layout:
+        raise ConsistencyError("gradient/state layout does not match the parameters")
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    triples = zip(params.tensors(), grads.tensors(), state.m.tensors(), state.v.tensors())
-    for (name, p), (_, g), (_, m), (_, v) in triples:
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ConsistencyError(f"gradient/state shape mismatch on {name}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v, g = state.m.vector, state.v.vector, grads.vector
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    params.vector -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return params, state
 
 
@@ -259,7 +253,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
         fixed_omega = np.asarray(fixed_omega, dtype=np.float64)
         if fixed_omega.shape != (len(ops),):
             raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
-        params.omega = fixed_omega.copy()
+        params.omega = fixed_omega
 
     state = init_adam_state(params)
     best_params = params.copy()
@@ -332,17 +326,15 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
         return loss(probe.probs, y, mask, params, l2_lambda)
 
     worst = 0.0
-    for (_, p_tensor), (_, a_tensor) in zip(params.tensors(), analytic.tensors()):
-        flat_p = p_tensor.reshape(-1)
-        flat_a = a_tensor.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + eps
-            up = objective()
-            flat_p[idx] = orig - eps
-            down = objective()
-            flat_p[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(1e-8, abs(flat_a[idx]) + abs(numeric))
-            worst = max(worst, abs(flat_a[idx] - numeric) / denom)
+    flat_p, flat_a = params.vector, analytic.vector
+    for idx in range(flat_p.size):
+        orig = flat_p[idx]
+        flat_p[idx] = orig + eps
+        up = objective()
+        flat_p[idx] = orig - eps
+        down = objective()
+        flat_p[idx] = orig
+        numeric = (up - down) / (2.0 * eps)
+        denom = max(1e-8, abs(flat_a[idx]) + abs(numeric))
+        worst = max(worst, abs(flat_a[idx] - numeric) / denom)
     return worst

@@ -118,6 +118,34 @@ class TestCv:
         assert capsys.readouterr().err.startswith("error:config:")
 
 
+CV_ARMS = [{"name": "solo", "graph_sources": ["informative"]}]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("train", {"omega": "fixed"}),
+        ("train", {"betas": [1]}),
+        ("build-graph", {"betas": [1]}),
+        ("train", {"betas": {"informative": "x"}}),
+        ("cv", {"arms": CV_ARMS, "repeats": "x"}),
+        ("cv", {"arms": CV_ARMS, "val_fraction": "x"}),
+    ],
+    ids=["train-omega-string", "train-betas-list", "build-graph-betas-list",
+         "train-betas-nonnumeric", "cv-repeats-string", "cv-val-fraction-string"],
+)
+def test_malformed_config_field_is_config_error(synth_dir, tmp_path, capsys, command, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    extra = {"train": ["--graphs", "informative"], "build-graph": ["--element", "informative"]}
+    code = main([command, *dataset_args(synth_dir), *extra.get(command, []),
+                 "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:config:")
+    assert err.count("\n") == 1
+
+
 class TestGradcheck:
     def test_passes_and_prints_per_seed(self, capsys):
         code = main(["gradcheck", "--count", "3", "--seed", "0"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import power_iteration_radius
@@ -171,6 +173,14 @@ class TestNormalize:
         deg = dense_w.sum(axis=1) + 1.0
         expected = (dense_w + np.eye(8)) / np.sqrt(np.outer(deg, deg))
         np.testing.assert_allclose(normalize(w).to_dense(), expected, atol=1e-14)
+
+    def test_nonpositive_degree_names_vertex(self):
+        dense = np.zeros((3, 3))
+        dense[1, 2] = dense[2, 1] = -2.0  # vertices 1 and 2 have degree 1 + (-2) = -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"vertex 1 has degree -1\.0"):
+                normalize(dense)
 
     def test_exact_entries_with_isolated_vertex_and_diagonal_weight(self):
         dense = np.zeros((4, 4))

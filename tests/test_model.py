@@ -83,6 +83,54 @@ def make_instance(seed, n=12, d=5, h=4, k=2, m=2, n_labeled=8):
     return x, graphs, params, y, mask
 
 
+class TestModelParams:
+    def test_tensors_are_views_of_vector_in_order(self):
+        params = init_params(5, 4, 3, 2, seed=0)
+        offset = 0
+        for name, tensor in params.tensors():
+            assert np.shares_memory(tensor, params.vector), name
+            np.testing.assert_array_equal(params.vector[offset:offset + tensor.size], tensor.ravel())
+            offset += tensor.size
+        assert offset == params.vector.size
+        assert params.vector.dtype == np.float64
+
+    def test_constructor_copies_inputs(self):
+        theta0, theta1, omega = [np.ones((3, 2))], [np.ones((2, 2))], np.array([1.0])
+        params = ModelParams(theta0=theta0, theta1=theta1, omega=omega)
+        for caller, (_, tensor) in zip([*theta0, *theta1, omega], params.tensors()):
+            assert not np.shares_memory(caller, tensor)
+        theta0[0][0, 0] = 5.0
+        omega[0] = 5.0
+        assert params.theta0[0][0, 0] == 1.0
+        assert params.omega[0] == 1.0
+
+    def test_copy_is_independent(self):
+        params = init_params(4, 3, 2, 2, seed=1)
+        clone = params.copy()
+        assert not np.shares_memory(clone.vector, params.vector)
+        clone.vector[:] = 0.0
+        assert np.all(params.theta1[1] != 0.0)
+
+    def test_tensors_cannot_be_swapped_out(self):
+        params = init_params(4, 3, 2, 2, seed=2)
+        with pytest.raises(TypeError):
+            params.theta0[0] = np.zeros((4, 3))
+        with pytest.raises(TypeError):
+            params.theta1[1] = np.zeros((3, 2))
+
+    def test_omega_assignment_writes_through(self):
+        params = init_params(4, 3, 2, 2, seed=3)
+        params.omega = [0.8, 0.2]
+        assert np.shares_memory(params.omega, params.vector)
+        np.testing.assert_array_equal(params.vector[-2:], [0.8, 0.2])
+        with pytest.raises(ShapeError):
+            params.omega = [1.0, 2.0, 3.0]
+
+    def test_layout_records_tensor_shapes(self):
+        params = init_params(5, 4, 3, 2, seed=4)
+        assert params.layout == ((5, 4), (5, 4), (4, 3), (4, 3), (2,))
+
+
 class TestInitParams:
     def test_uniform_ranking_weights(self):
         params = init_params(5, 4, 2, 2, seed=0)
@@ -255,6 +303,12 @@ class TestBackward:
         dense_ops = [g.to_dense() for g in graphs]
         numeric = finite_difference_grads(x, dense_ops, params, y, mask, lam=0.0)
         assert max_relative_error(analytic, numeric) < 1e-5
+
+    def test_returns_params_layout(self):
+        x, graphs, params, y, mask = make_instance(19)
+        grads = backward(forward(x, graphs, params), y, mask, params, l2_lambda=5e-4)
+        assert isinstance(grads, ModelParams)
+        assert grads.layout == params.layout
 
     def test_cache_params_mismatch(self):
         x, graphs, params, y, mask = make_instance(18)

@@ -173,6 +173,16 @@ class TestTrain:
         )
         np.testing.assert_array_equal(history.omegas(), np.tile([0.2, 0.8], (len(history), 1)))
 
+    def test_fixed_omega_lands_in_returned_vector(self):
+        # (0.8, 0.2) differs from the 1/M start, so a detached omega shows
+        dataset, g_info, g_nui = planted_setup(seed=3)
+        params, history = train(
+            dataset, [g_info, g_nui], self.quick_config(max_epochs=5), fixed_omega=(0.8, 0.2)
+        )
+        assert tuple(params.omega) == (0.8, 0.2)
+        np.testing.assert_array_equal(params.vector[-2:], [0.8, 0.2])
+        assert history.records[0].omega == (0.8, 0.2)
+
     def test_best_snapshot_validation_loss_is_minimal(self):
         dataset, g_info, _ = planted_setup(seed=4)
         _, history = train(dataset, [g_info], self.quick_config(max_epochs=30))
