@@ -15,8 +15,8 @@ import tempfile
 import numpy as np
 
 from pgcn import (
+    Arm,
     ExperimentConfig,
-    ExperimentSpec,
     TrainConfig,
     rank_report,
     render_rank_report,
@@ -28,11 +28,11 @@ dataset, _, _ = synth_generate(200, 10, seed=42, informative_strength=1.0, noise
 
 config = ExperimentConfig(
     arms=(
-        ExperimentSpec("baseline_informative", ("informative",), fixed_omega=(1.0,)),
-        ExperimentSpec("baseline_nuisance", ("nuisance",), fixed_omega=(1.0,)),
-        ExperimentSpec("fixed_half", ("informative", "nuisance"), fixed_omega=(0.5, 0.5)),
-        ExperimentSpec("trainable", ("informative", "nuisance")),
-        ExperimentSpec("trainable_random", ("informative", "random")),
+        Arm("baseline_informative", ("informative",), fixed_omega=(1.0,)),
+        Arm("baseline_nuisance", ("nuisance",), fixed_omega=(1.0,)),
+        Arm("fixed_half", ("informative", "nuisance"), fixed_omega=(0.5, 0.5)),
+        Arm("trainable", ("informative", "nuisance")),
+        Arm("trainable_random", ("informative", "random")),
     ),
     # stronger weight decay keeps the irrelevant branch from memorizing
     # training residuals, so the ranking weights reflect graph utility

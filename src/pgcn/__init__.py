@@ -22,7 +22,6 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
-    ExperimentSpec,
     RankSummary,
     build_arm_graphs,
     load_experiment_config,

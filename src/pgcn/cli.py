@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
+from .crossval import Arm
 from .data import Dataset, load_dataset, synth_generate, write_dataset
 from .errors import ConfigError, PgcnError
 from .experiments import (
     ExperimentConfig,
-    ExperimentSpec,
     build_arm_graphs,
     load_experiment_config,
     load_train_config,
@@ -84,10 +84,10 @@ def cmd_train(args):
     if args.seed is not None:
         config = config.with_seed(args.seed)
     sources = tuple(s.strip() for s in args.graphs.split(",") if s.strip())
-    spec = ExperimentSpec(name="train", graph_sources=sources, fixed_omega=fixed_omega)
-    exp = ExperimentConfig(arms=(spec,), train=config, betas=betas, metric=metric)
-    graphs = build_arm_graphs(dataset, spec, exp)
-    params, history = train(dataset, graphs, config, fixed_omega=spec.fixed_omega)
+    arm = Arm("train", sources, fixed_omega)
+    exp = ExperimentConfig(arms=(arm,), train=config, betas=betas, metric=metric)
+    (arm,) = build_arm_graphs(dataset, exp)
+    params, history = train(dataset, arm.graphs, config, fixed_omega=arm.fixed_omega)
     os.makedirs(args.out_dir, exist_ok=True)
     checkpoint_path = os.path.join(args.out_dir, "checkpoint.npz")
     history_path = os.path.join(args.out_dir, "history.csv")

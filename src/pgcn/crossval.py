@@ -12,15 +12,21 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParameterError
 from .model import forward
-from .stats import accuracy, auc, paired_t_test, stratified_mc_split
-from .training import as_operators, train
+from .stats import accuracy, auc, paired_t_test
+from .training import as_operators, split_masks, train
 
 __all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate"]
 
 
 @dataclass(frozen=True)
 class Arm:
-    """One experiment arm: a named graph set with its ranking mode."""
+    """One experiment arm: a named graph set with its ranking mode.
+
+    ``graphs`` holds graph-source strings inside an
+    :class:`~pgcn.experiments.ExperimentConfig` and built graphs (or
+    normalized operators) once :func:`~pgcn.experiments.build_arm_graphs`
+    has run; :func:`cross_validate` takes the built form.
+    """
 
     name: str
     graphs: tuple
@@ -142,15 +148,8 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     if len(set(names)) != len(names):
         raise ConfigError("arm names must be unique")
 
-    labeled = np.flatnonzero(np.asarray(dataset.labeled_mask, dtype=bool))
-    classes = dataset.labels()[labeled]
     binary = dataset.n_classes == 2
-    n = dataset.n_subjects
-
-    plans = [
-        stratified_mc_split(classes, val_fraction=val_fraction, repeat=r, seed=config.seed)
-        for r in range(repeats)
-    ]
+    splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
 
     results = []
     histories = {}
@@ -158,11 +157,7 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
         ops = as_operators(arm.graphs)
         accs = np.zeros(repeats)
         aucs = np.full(repeats, np.nan)
-        for r, plan in enumerate(plans):
-            train_mask = np.zeros(n, dtype=bool)
-            val_mask = np.zeros(n, dtype=bool)
-            train_mask[labeled[plan.train_indices]] = True
-            val_mask[labeled[plan.val_indices]] = True
+        for r, (train_mask, val_mask) in enumerate(splits):
             rep_config = config.with_seed(_repeat_seed(config.seed, r))
             params, history = train(
                 dataset,

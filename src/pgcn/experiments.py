@@ -1,16 +1,18 @@
 """Experiment definitions: graph sources, arm matrices, and reporting.
 
-An experiment names one or more arms, each combining graph sources with a
-ranking mode.  A graph source is a metadata element name, the literal
-``"random"``, or a path to a saved edge-list file.  Random graphs are
-matched to the density of the arm's first non-random source so the
-comparison isolates structure rather than edge count.  Reports echo the
-full configuration for provenance and are byte-stable for a fixed seed.
+An experiment names one or more arms (:class:`~pgcn.crossval.Arm`), each
+combining graph sources with a ranking mode.  A graph source is a
+metadata element name, the literal ``"random"``, or a path to a saved
+edge-list file.  Each non-random source is built once per experiment and
+shared by every arm that names it.  Random graphs are matched to the
+density of the arm's first non-random source so the comparison isolates
+structure rather than edge count.  Reports echo the full configuration
+for provenance and are byte-stable for a fixed seed.
 """
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from .graphs import CONTINUOUS, build_graph, load_edge_list, random_graph
 from .training import TrainConfig, TrainHistory
 
 __all__ = [
-    "ExperimentSpec",
     "ExperimentConfig",
     "load_experiment_config",
     "load_train_config",
@@ -36,31 +37,12 @@ DEFAULT_RANDOM_DENSITY = 0.1
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One arm: name, ordered graph sources, and the ranking mode."""
-
-    name: str
-    graph_sources: tuple
-    fixed_omega: tuple | None = None  # None means trainable
-
-    def __post_init__(self):
-        sources = tuple(str(s) for s in self.graph_sources)
-        if not sources:
-            raise ConfigError(f"arm {self.name!r} needs at least one graph source")
-        object.__setattr__(self, "graph_sources", sources)
-        if self.fixed_omega is not None:
-            fixed = tuple(float(w) for w in self.fixed_omega)
-            if len(fixed) != len(sources):
-                raise ConfigError(
-                    f"arm {self.name!r}: fixed omega has {len(fixed)} entries "
-                    f"for {len(sources)} graph sources"
-                )
-            object.__setattr__(self, "fixed_omega", fixed)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """A full experiment: arms, training knobs, and split policy."""
+    """A full experiment: arms, training knobs, and split policy.
+
+    Each arm's ``graphs`` holds graph-source strings;
+    :func:`build_arm_graphs` returns the arms with built graphs.
+    """
 
     arms: tuple
     train: TrainConfig = TrainConfig()
@@ -76,6 +58,9 @@ class ExperimentConfig:
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             raise ConfigError("arm names must be unique")
+        for arm in self.arms:
+            if not all(isinstance(s, str) for s in arm.graphs):
+                raise ConfigError(f"arm {arm.name!r}: graph sources must be strings")
         object.__setattr__(self, "betas", dict(self.betas or {}))
 
     def with_seed(self, seed):
@@ -87,7 +72,7 @@ class ExperimentConfig:
             "arms": [
                 {
                     "name": a.name,
-                    "graph_sources": list(a.graph_sources),
+                    "graph_sources": list(a.graphs),
                     "omega": "trainable" if a.fixed_omega is None else list(a.fixed_omega),
                 }
                 for a in self.arms
@@ -117,24 +102,26 @@ def _parse_arm(entry, index):
     if not name or not isinstance(name, str):
         raise ConfigError(f"arm #{index} needs a string 'name'")
     sources = entry.get("graph_sources")
-    if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+    if not isinstance(sources, list):
         raise ConfigError(f"arm {name!r}: 'graph_sources' must be a list of strings")
     fixed = _parse_omega(entry.get("omega", "trainable"), f"arm {name!r}")
-    return ExperimentSpec(name=name, graph_sources=tuple(sources), fixed_omega=fixed)
+    return Arm(name=name, graphs=sources, fixed_omega=fixed)
 
 
 def _number(value, kind, label):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label} must be a number, got {value!r}") from exc
+    """``value`` as ``kind``; ``int`` takes whole JSON numbers only, and no kind takes a boolean."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{label} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def _read_config(path, extra_keys):
     """Read a JSON object and parse its ``train``, ``betas`` and ``metric`` keys.
 
     Keys other than those three and ``extra_keys`` are rejected.  Returns
-    ``(payload, fields)``; ``fields`` holds the three parsed values under
+    ``(payload, parsed)``; ``parsed`` holds the three values under
     :class:`ExperimentConfig`'s field names.
     """
     try:
@@ -152,24 +139,25 @@ def _read_config(path, extra_keys):
     train_entry = payload.get("train", {})
     if not isinstance(train_entry, dict):
         raise ConfigError(f"{path}: 'train' must be an object")
-    try:
-        train = TrainConfig(**train_entry)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad train settings: {exc}") from exc
+    kinds = {f.name: f.type for f in fields(TrainConfig)}
+    unknown = sorted(set(train_entry) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{path}: unknown train setting {unknown[0]!r}")
+    train = TrainConfig(**{k: _number(v, kinds[k], f"{path}: {k!r}") for k, v in train_entry.items()})
     betas = payload.get("betas", {})
     if not isinstance(betas, dict):
         raise ConfigError(f"{path}: 'betas' must be an object")
-    fields = {
+    parsed = {
         "train": train,
         "betas": {k: _number(v, float, f"{path}: beta {k!r}") for k, v in betas.items()},
         "metric": str(payload.get("metric", "pearson")),
     }
-    return payload, fields
+    return payload, parsed
 
 
 def load_experiment_config(path):
     """Parse a JSON experiment file into an :class:`ExperimentConfig`."""
-    payload, fields = _read_config(path, {"arms", "repeats", "val_fraction"})
+    payload, parsed = _read_config(path, {"arms", "repeats", "val_fraction"})
     arms_entry = payload.get("arms")
     if not isinstance(arms_entry, list) or not arms_entry:
         raise ConfigError(f"{path}: 'arms' must be a nonempty list")
@@ -177,7 +165,7 @@ def load_experiment_config(path):
         arms=tuple(_parse_arm(e, i) for i, e in enumerate(arms_entry)),
         repeats=_number(payload.get("repeats", 10), int, f"{path}: 'repeats'"),
         val_fraction=_number(payload.get("val_fraction", 0.1), float, f"{path}: 'val_fraction'"),
-        **fields,
+        **parsed,
     )
 
 
@@ -189,16 +177,13 @@ def load_train_config(path):
     """
     if path is None:
         return TrainConfig(), {}, "pearson", None
-    payload, fields = _read_config(path, {"omega"})
+    payload, parsed = _read_config(path, {"omega"})
     fixed_omega = _parse_omega(payload.get("omega", "trainable"), path)
-    return fields["train"], fields["betas"], fields["metric"], fixed_omega
+    return parsed["train"], parsed["betas"], parsed["metric"], fixed_omega
 
 
-def _resolve_source(dataset, source, config, seed_parts, reference_density):
-    if source == RANDOM_SOURCE:
-        density = reference_density if reference_density is not None else DEFAULT_RANDOM_DENSITY
-        seed = np.random.SeedSequence(seed_parts).generate_state(1)[0]
-        return random_graph(dataset.n_subjects, density, seed=int(seed))
+def _resolve_source(dataset, source, config):
+    """Build a metadata graph or load an edge-list file."""
     meta_names = {c.name for c in dataset.meta}
     if source in meta_names:
         col = dataset.column(source)
@@ -214,27 +199,33 @@ def _resolve_source(dataset, source, config, seed_parts, reference_density):
     raise ConfigError(f"unknown metadata element {source!r} (and no such graph file)")
 
 
-def build_arm_graphs(dataset, spec, config, arm_index=0):
-    """Materialize one arm's graph sources in order.
+def build_arm_graphs(dataset, config):
+    """Return ``config.arms`` with every graph source replaced by its graph.
 
-    Non-random sources are built first so a ``"random"`` source can copy
-    the density of the arm's first real graph.
+    A non-random source is built once per experiment, so arms naming it
+    share one :class:`~pgcn.graphs.AffinityGraph`.  A ``"random"`` source
+    is drawn per arm and position, seeded by ``(seed, 7919, arm, k)``, at
+    the density of the arm's first non-random graph.
     """
     built = {}
-    reference_density = None
-    for k, source in enumerate(spec.graph_sources):
-        if source == RANDOM_SOURCE:
-            continue
-        graph = _resolve_source(dataset, source, config, None, None)
-        built[k] = graph
-        if reference_density is None:
-            reference_density = graph.density
-    for k, source in enumerate(spec.graph_sources):
-        if source != RANDOM_SOURCE:
-            continue
-        seed_parts = (config.train.seed & 0xFFFFFFFF, 7919, arm_index, k)
-        built[k] = _resolve_source(dataset, source, config, seed_parts, reference_density)
-    return [built[k] for k in range(len(spec.graph_sources))]
+    for arm in config.arms:
+        for source in arm.graphs:
+            if source != RANDOM_SOURCE and source not in built:
+                built[source] = _resolve_source(dataset, source, config)
+    arms = []
+    for i, arm in enumerate(config.arms):
+        real = [built[s] for s in arm.graphs if s != RANDOM_SOURCE]
+        density = real[0].density if real else DEFAULT_RANDOM_DENSITY
+        graphs = []
+        for k, source in enumerate(arm.graphs):
+            if source == RANDOM_SOURCE:
+                seed_parts = (config.train.seed & 0xFFFFFFFF, 7919, i, k)
+                seed = np.random.SeedSequence(seed_parts).generate_state(1)[0]
+                graphs.append(random_graph(dataset.n_subjects, density, seed=int(seed)))
+            else:
+                graphs.append(built[source])
+        arms.append(replace(arm, graphs=graphs))
+    return arms
 
 
 def run_experiment(dataset, config, out_dir=None):
@@ -244,13 +235,9 @@ def run_experiment(dataset, config, out_dir=None):
     writes ``report.txt`` (metrics, comparisons, and the echoed config)
     plus one ``history_<arm>_rep<r>.csv`` per training run.
     """
-    arms = []
-    for i, spec in enumerate(config.arms):
-        graphs = build_arm_graphs(dataset, spec, config, arm_index=i)
-        arms.append(Arm(name=spec.name, graphs=tuple(graphs), fixed_omega=spec.fixed_omega))
     report = cross_validate(
         dataset,
-        arms,
+        build_arm_graphs(dataset, config),
         config.train,
         repeats=config.repeats,
         val_fraction=config.val_fraction,

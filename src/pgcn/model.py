@@ -103,15 +103,11 @@ class ModelParams:
 class BranchCache:
     """Intermediates of one branch, retained for the backward pass."""
 
-    dropped_input: np.ndarray    # X with the layer-1 dropout mask applied
-    propagated0: np.ndarray      # A_hat @ dropped_input
+    propagated0: np.ndarray      # A_hat @ (X with the layer-1 dropout mask applied)
     preact: np.ndarray           # propagated0 @ theta0
-    hidden: np.ndarray           # relu(preact)
-    dropped_hidden: np.ndarray   # hidden with the layer-2 dropout mask applied
-    propagated1: np.ndarray      # A_hat @ dropped_hidden
+    propagated1: np.ndarray      # A_hat @ (relu(preact) with the layer-2 dropout mask applied)
     logits: np.ndarray           # propagated1 @ theta1
-    mask0: np.ndarray | None
-    mask1: np.ndarray | None
+    mask1: np.ndarray | None     # the layer-2 dropout mask
 
 
 @dataclass
@@ -162,28 +158,14 @@ def branch_forward(x, a_hat, theta0, theta1, dropout=None):
     if theta0.shape[1] != theta1.shape[0]:
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
 
-    mask0 = mask1 = None
-    dropped_input = x
-    if dropout is not None:
-        mask0, mask1 = dropout
-        dropped_input = x * mask0
-    propagated0 = spmm(a_hat, dropped_input)
+    mask0, mask1 = (None, None) if dropout is None else dropout
+    propagated0 = spmm(a_hat, x if mask0 is None else x * mask0)
     preact = propagated0 @ theta0
     hidden = relu(preact)
-    dropped_hidden = hidden if mask1 is None else hidden * mask1
-    propagated1 = spmm(a_hat, dropped_hidden)
+    propagated1 = spmm(a_hat, hidden if mask1 is None else hidden * mask1)
     logits = propagated1 @ theta1
-    cache = BranchCache(
-        dropped_input=dropped_input,
-        propagated0=propagated0,
-        preact=preact,
-        hidden=hidden,
-        dropped_hidden=dropped_hidden,
-        propagated1=propagated1,
-        logits=logits,
-        mask0=mask0,
-        mask1=mask1,
-    )
+    cache = BranchCache(propagated0=propagated0, preact=preact, propagated1=propagated1,
+                        logits=logits, mask1=mask1)
     return cache, logits
 
 

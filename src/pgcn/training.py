@@ -28,6 +28,7 @@ __all__ = [
     "adam_step",
     "loss",
     "as_operators",
+    "split_masks",
     "train",
     "grad_check",
 ]
@@ -200,11 +201,12 @@ def as_operators(graphs):
     return ops
 
 
-def _default_split_masks(dataset, config):
+def split_masks(dataset, val_fraction, repeat, seed):
+    """Train and validation masks over all subjects from one stratified split of the labeled ones."""
     labeled = np.flatnonzero(dataset.labeled_mask)
-    classes = np.argmax(dataset.Y[labeled], axis=1)
-    plan = stratified_mc_split(classes, val_fraction=0.1, repeat=0, seed=config.seed)
-    train_mask = np.zeros(len(dataset.labeled_mask), dtype=bool)
+    classes = dataset.labels()[labeled]
+    plan = stratified_mc_split(classes, val_fraction=val_fraction, repeat=repeat, seed=seed)
+    train_mask = np.zeros(dataset.n_subjects, dtype=bool)
     val_mask = np.zeros_like(train_mask)
     train_mask[labeled[plan.train_indices]] = True
     val_mask[labeled[plan.val_indices]] = True
@@ -230,7 +232,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     x = as_dense(dataset.X, "features")
     y = as_dense(dataset.Y, "labels")
     if train_mask is None and val_mask is None:
-        train_mask, val_mask = _default_split_masks(dataset, config)
+        train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
     train_mask = np.asarray(train_mask, dtype=bool)
     val_mask = np.asarray(val_mask, dtype=bool)
     if not train_mask.any():

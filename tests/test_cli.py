@@ -130,9 +130,18 @@ CV_ARMS = [{"name": "solo", "graph_sources": ["informative"]}]
         ("train", {"betas": {"informative": "x"}}),
         ("cv", {"arms": CV_ARMS, "repeats": "x"}),
         ("cv", {"arms": CV_ARMS, "val_fraction": "x"}),
+        ("cv", {"arms": CV_ARMS, "repeats": 2.7}),
+        ("cv", {"arms": CV_ARMS, "repeats": True}),
+        ("cv", {"arms": CV_ARMS, "val_fraction": True}),
+        ("cv", {"arms": CV_ARMS, "betas": {"informative": True}}),
+        ("train", {"train": {"max_epochs": 2.5}}),
+        ("train", {"train": {"hidden_width": 4.5}}),
+        ("train", {"train": {"max_epochs": True}}),
     ],
     ids=["train-omega-string", "train-betas-list", "build-graph-betas-list",
-         "train-betas-nonnumeric", "cv-repeats-string", "cv-val-fraction-string"],
+         "train-betas-nonnumeric", "cv-repeats-string", "cv-val-fraction-string",
+         "cv-repeats-fraction", "cv-repeats-bool", "cv-val-fraction-bool", "cv-betas-bool",
+         "train-max-epochs-fraction", "train-hidden-width-fraction", "train-max-epochs-bool"],
 )
 def test_malformed_config_field_is_config_error(synth_dir, tmp_path, capsys, command, payload):
     cfg = tmp_path / "cfg.json"

@@ -25,10 +25,16 @@ def quick_config(**kw):
 
 
 class TestArm:
-    def test_fixed_omega_length_checked(self, setup):
+    # an arm holds source strings inside an ExperimentConfig and built graphs after the build
+    @pytest.mark.parametrize("kind", ["sources", "graphs"])
+    def test_fixed_omega_length_checked(self, setup, kind):
         _, g_info, g_nui = setup
+        if kind == "sources":
+            graphs, fixed = ("informative",), (0.5, 0.5)
+        else:
+            graphs, fixed = (g_info, g_nui), (1.0,)
         with pytest.raises(ConfigError):
-            Arm("bad", (g_info, g_nui), fixed_omega=(1.0,))
+            Arm("bad", graphs, fixed_omega=fixed)
 
     def test_needs_graphs(self):
         with pytest.raises(ConfigError):

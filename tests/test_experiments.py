@@ -3,18 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from pgcn.crossval import Arm
 from pgcn.data import Dataset, synth_generate
 from pgcn.errors import ConfigError, DataError, ParameterError
 from pgcn.experiments import (
     ExperimentConfig,
-    ExperimentSpec,
     build_arm_graphs,
     load_experiment_config,
     rank_report,
     render_rank_report,
     run_experiment,
 )
-from pgcn.graphs import MetaColumn, save_edge_list
+from pgcn.graphs import MetaColumn, random_graph, save_edge_list
 from pgcn.training import TrainConfig
 
 
@@ -30,38 +30,42 @@ def small_train(**kw):
     return TrainConfig(**defaults)
 
 
+def build_one(dataset, sources, **config_kw):
+    """The built graphs of a one-arm experiment over ``sources``."""
+    config = ExperimentConfig(arms=(Arm("arm", sources),), train=small_train(), **config_kw)
+    (arm,) = build_arm_graphs(dataset, config)
+    return arm.graphs
+
+
 class TestSpecValidation:
     def test_needs_sources(self):
         with pytest.raises(ConfigError):
-            ExperimentSpec("empty", ())
-
-    def test_fixed_omega_length(self):
-        with pytest.raises(ConfigError):
-            ExperimentSpec("bad", ("informative",), fixed_omega=(0.5, 0.5))
+            ExperimentConfig(arms=(Arm("empty", ()),))
 
     def test_duplicate_arm_names(self):
-        arms = (ExperimentSpec("a", ("informative",)), ExperimentSpec("a", ("nuisance",)))
+        arms = (Arm("a", ("informative",)), Arm("a", ("nuisance",)))
         with pytest.raises(ConfigError):
             ExperimentConfig(arms=arms)
+
+    def test_non_string_source_rejected(self, dataset):
+        (graph,) = build_one(dataset, ("informative",))
+        with pytest.raises(ConfigError):
+            ExperimentConfig(arms=(Arm("built", (graph,)),))
 
 
 class TestBuildArmGraphs:
     def test_metadata_sources_resolve_in_order(self, dataset):
-        spec = ExperimentSpec("both", ("informative", "nuisance"))
-        graphs = build_arm_graphs(dataset, spec, ExperimentConfig(arms=(spec,), train=small_train()))
+        graphs = build_one(dataset, ("informative", "nuisance"))
         assert [g.source for g in graphs] == ["informative", "nuisance"]
         assert all(g.n == dataset.n_subjects for g in graphs)
 
     def test_unknown_source_rejected(self, dataset):
-        spec = ExperimentSpec("bad", ("age",))
         with pytest.raises(ConfigError) as exc:
-            build_arm_graphs(dataset, spec, ExperimentConfig(arms=(spec,), train=small_train()))
+            build_one(dataset, ("age",))
         assert "age" in str(exc.value)
 
     def test_random_matches_first_real_density(self, dataset):
-        spec = ExperimentSpec("mix", ("informative", "random"))
-        config = ExperimentConfig(arms=(spec,), train=small_train())
-        graphs = build_arm_graphs(dataset, spec, config)
+        graphs = build_one(dataset, ("informative", "random"))
         reference = graphs[0].density
         pairs = dataset.n_subjects * (dataset.n_subjects - 1) / 2
         sigma = np.sqrt(pairs * reference * (1 - reference)) / pairs
@@ -69,31 +73,23 @@ class TestBuildArmGraphs:
         assert abs(graphs[1].density - reference) <= 4 * sigma
 
     def test_all_random_uses_default_density(self, dataset):
-        spec = ExperimentSpec("rand", ("random",))
-        config = ExperimentConfig(arms=(spec,), train=small_train())
-        (graph,) = build_arm_graphs(dataset, spec, config)
+        (graph,) = build_one(dataset, ("random",))
         assert graph.density == pytest.approx(0.1, abs=0.05)
 
     def test_graph_file_source(self, dataset, tmp_path):
-        spec0 = ExperimentSpec("meta", ("informative",))
-        config = ExperimentConfig(arms=(spec0,), train=small_train())
-        (graph,) = build_arm_graphs(dataset, spec0, config)
+        (graph,) = build_one(dataset, ("informative",))
         path = tmp_path / "saved_graph.txt"
         save_edge_list(graph, path)
-        spec1 = ExperimentSpec("file", (str(path),))
-        (loaded,) = build_arm_graphs(dataset, spec1, config)
+        (loaded,) = build_one(dataset, (str(path),))
         np.testing.assert_array_equal(loaded.edges, graph.edges)
 
     def test_graph_file_size_mismatch(self, dataset, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("n 3\n0 1 1\n")
-        spec = ExperimentSpec("file", (str(path),))
-        config = ExperimentConfig(arms=(spec,), train=small_train())
         with pytest.raises(DataError):
-            build_arm_graphs(dataset, spec, config)
+            build_one(dataset, (str(path),))
 
     def test_continuous_beta_honored(self):
-        rng = np.random.default_rng(0)
         base, _, _ = synth_generate(30, 4, seed=5)
         ages = np.linspace(20.0, 49.0, 30)
         data = Dataset(
@@ -103,19 +99,52 @@ class TestBuildArmGraphs:
             Y=base.Y,
             labeled_mask=base.labeled_mask,
         )
-        spec = ExperimentSpec("age_graph", ("age",))
-        wide = ExperimentConfig(arms=(spec,), train=small_train(), betas={"age": 100.0})
-        (complete,) = build_arm_graphs(data, spec, wide)
+        (complete,) = build_one(data, ("age",), betas={"age": 100.0})
         assert complete.density == 1.0
-        narrow = ExperimentConfig(arms=(spec,), train=small_train(), betas={"age": 1.01})
-        (chain,) = build_arm_graphs(data, spec, narrow)
+        (chain,) = build_one(data, ("age",), betas={"age": 1.01})
         assert chain.edge_count == 29  # consecutive ages differ by exactly 1
+
+    def test_each_source_built_once_and_shared(self, dataset, monkeypatch):
+        import pgcn.experiments
+
+        built = []
+        original = pgcn.experiments.build_graph
+
+        def counting(col, *args, **kwargs):
+            built.append(col.name)
+            return original(col, *args, **kwargs)
+
+        monkeypatch.setattr(pgcn.experiments, "build_graph", counting)
+        arms = (
+            Arm("info", ("informative",)),
+            Arm("both", ("informative", "nuisance")),
+            Arm("nui", ("nuisance",)),
+        )
+        info, both, nui = build_arm_graphs(dataset, ExperimentConfig(arms=arms, train=small_train()))
+        assert sorted(built) == ["informative", "nuisance"]
+        assert info.graphs[0] is both.graphs[0]
+        assert both.graphs[1] is nui.graphs[0]
+        assert [a.name for a in (info, both, nui)] == ["info", "both", "nui"]
+
+    def test_random_sources_keep_per_arm_seeds(self, dataset):
+        arms = (
+            Arm("control", ("informative", "random")),
+            Arm("solo", ("informative",)),
+            Arm("swapped", ("random", "nuisance")),
+        )
+        config = ExperimentConfig(arms=arms, train=small_train(seed=2**32 + 11))
+        control, _, swapped = build_arm_graphs(dataset, config)
+        for i, k, arm, reference in ((0, 1, control, control.graphs[0]), (2, 0, swapped, swapped.graphs[1])):
+            seed = np.random.SeedSequence((11, 7919, i, k)).generate_state(1)[0]
+            expected = random_graph(dataset.n_subjects, reference.density, seed=int(seed))
+            np.testing.assert_array_equal(arm.graphs[k].edges, expected.edges)
+            np.testing.assert_array_equal(arm.graphs[k].weights.to_dense(), expected.weights.to_dense())
 
 
 class TestRunExperiment:
     def test_single_source_fixed_one_is_plain_baseline(self, dataset, tmp_path):
-        spec = ExperimentSpec("baseline_informative", ("informative",), fixed_omega=(1.0,))
-        config = ExperimentConfig(arms=(spec,), train=small_train(), repeats=2)
+        arm = Arm("baseline_informative", ("informative",), fixed_omega=(1.0,))
+        config = ExperimentConfig(arms=(arm,), train=small_train(), repeats=2)
         report = run_experiment(dataset, config, out_dir=tmp_path)
         result = report.arm("baseline_informative")
         assert len(result.accuracies) == 2
@@ -124,8 +153,8 @@ class TestRunExperiment:
 
     def test_writes_report_and_histories(self, dataset, tmp_path):
         arms = (
-            ExperimentSpec("trainable", ("informative", "nuisance")),
-            ExperimentSpec("fixed", ("informative", "nuisance"), fixed_omega=(0.5, 0.5)),
+            Arm("trainable", ("informative", "nuisance")),
+            Arm("fixed", ("informative", "nuisance"), fixed_omega=(0.5, 0.5)),
         )
         config = ExperimentConfig(arms=arms, train=small_train(), repeats=2)
         run_experiment(dataset, config, out_dir=tmp_path)
@@ -138,7 +167,7 @@ class TestRunExperiment:
                 assert (tmp_path / f"history_{arm}_rep{rep}.csv").exists()
 
     def test_byte_identical_reports(self, dataset, tmp_path):
-        arms = (ExperimentSpec("solo", ("informative",)),)
+        arms = (Arm("solo", ("informative",)),)
         config = ExperimentConfig(arms=arms, train=small_train(), repeats=2)
         run_experiment(dataset, config, out_dir=tmp_path / "a")
         run_experiment(dataset, config, out_dir=tmp_path / "b")
@@ -188,9 +217,9 @@ class TestConfigFile:
 class TestRankReport:
     def make_histories(self, dataset, tmp_path):
         arms = (
-            ExperimentSpec("trainable", ("informative", "nuisance")),
-            ExperimentSpec("frozen", ("informative", "nuisance"), fixed_omega=(0.5, 0.5)),
-            ExperimentSpec("solo", ("informative",), fixed_omega=(1.0,)),
+            Arm("trainable", ("informative", "nuisance")),
+            Arm("frozen", ("informative", "nuisance"), fixed_omega=(0.5, 0.5)),
+            Arm("solo", ("informative",), fixed_omega=(1.0,)),
         )
         config = ExperimentConfig(
             arms=arms, train=small_train(max_epochs=30, l2_lambda=2e-2), repeats=2
