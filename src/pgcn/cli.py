@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     build_arm_graphs,
     load_experiment_config,
+    load_graph_config,
     load_train_config,
     rank_report,
     render_rank_report,
@@ -63,11 +64,11 @@ def cmd_synth(args):
 
 def cmd_build_graph(args):
     dataset = load_dataset(args.features, args.meta, args.labels)
+    betas, metric = load_graph_config(args.config)
     if args.element == "random":
         seed = args.seed if args.seed is not None else 0
         graph = random_graph(dataset.n_subjects, args.density, seed=seed)
     else:
-        _, betas, metric, _ = load_train_config(args.config)
         col = dataset.column(args.element)
         beta = args.beta if args.beta is not None else betas.get(args.element)
         graph = build_metadata_graph(col, dataset.X, beta=beta, metric=metric)

@@ -25,6 +25,7 @@ __all__ = [
     "ExperimentConfig",
     "load_experiment_config",
     "load_train_config",
+    "load_graph_config",
     "build_arm_graphs",
     "run_experiment",
     "RankSummary",
@@ -120,7 +121,8 @@ def _number(value, kind, label):
 def _read_config(path, extra_keys):
     """Read a JSON object and parse its ``train``, ``betas`` and ``metric`` keys.
 
-    Keys other than those three and ``extra_keys`` are rejected.  Returns
+    Keys other than ``betas``, ``metric`` and ``extra_keys`` are rejected,
+    so ``train`` is accepted only where ``extra_keys`` names it.  Returns
     ``(payload, parsed)``; ``parsed`` holds the three values under
     :class:`ExperimentConfig`'s field names.
     """
@@ -133,7 +135,7 @@ def _read_config(path, extra_keys):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = sorted(set(payload) - extra_keys - {"train", "betas", "metric"})
+    unknown = sorted(set(payload) - extra_keys - {"betas", "metric"})
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
     train_entry = payload.get("train", {})
@@ -157,7 +159,7 @@ def _read_config(path, extra_keys):
 
 def load_experiment_config(path):
     """Parse a JSON experiment file into an :class:`ExperimentConfig`."""
-    payload, parsed = _read_config(path, {"arms", "repeats", "val_fraction"})
+    payload, parsed = _read_config(path, {"arms", "repeats", "val_fraction", "train"})
     arms_entry = payload.get("arms")
     if not isinstance(arms_entry, list) or not arms_entry:
         raise ConfigError(f"{path}: 'arms' must be a nonempty list")
@@ -170,16 +172,27 @@ def load_experiment_config(path):
 
 
 def load_train_config(path):
-    """Parse the JSON file of ``train`` and ``build-graph``.
+    """Parse the JSON file of ``train``.
 
     Returns ``(train, betas, metric, fixed_omega)``; ``path=None`` gives the
     defaults, and ``fixed_omega`` is None for a trainable ranking layer.
     """
     if path is None:
         return TrainConfig(), {}, "pearson", None
-    payload, parsed = _read_config(path, {"omega"})
+    payload, parsed = _read_config(path, {"omega", "train"})
     fixed_omega = _parse_omega(payload.get("omega", "trainable"), path)
     return parsed["train"], parsed["betas"], parsed["metric"], fixed_omega
+
+
+def load_graph_config(path):
+    """Parse the JSON file of ``build-graph``, which takes only ``betas`` and ``metric``.
+
+    Returns ``(betas, metric)``; ``path=None`` gives the defaults.
+    """
+    if path is None:
+        return {}, "pearson"
+    _, parsed = _read_config(path, set())
+    return parsed["betas"], parsed["metric"]
 
 
 def _resolve_source(dataset, source, config):

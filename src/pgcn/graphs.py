@@ -9,6 +9,7 @@ is the symmetrically normalized weight matrix with self-loops,
 ``D^{-1/2} (W + I) D^{-1/2}``.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -147,6 +148,9 @@ def build_affinity(sim, edges):
 
     Normalization assumes nonnegative weights, so an edge whose endpoint
     features anti-correlate keeps the edge but contributes zero weight.
+    Only edge pairs are weighted, each by ``0.5 * (w_ij + w_ji)`` of its
+    clamped similarities, which forces bitwise symmetry against BLAS
+    rounding in ``sim``.
     """
     sim = as_dense(sim, "similarity matrix")
     edges = np.asarray(edges, dtype=bool)
@@ -156,10 +160,19 @@ def build_affinity(sim, edges):
         raise ShapeError(f"similarity {sim.shape} does not match adjacency {edges.shape}")
     if not np.array_equal(edges, edges.T):
         raise DataError("adjacency is not symmetric")
-    w = np.where(edges, sim, 0.0)
-    w = np.maximum(w, 0.0)
-    w = 0.5 * (w + w.T)  # force bitwise symmetry against BLAS rounding
-    return SparseSymMatrix.from_dense(w)
+    rows, cols = np.nonzero(edges)  # row-major, the order CSR stores
+    w = np.maximum(sim[rows, cols], 0.0)
+    w += np.maximum(sim[cols, rows], 0.0)
+    w *= 0.5  # 0.5 * (w_ij + w_ji) exactly, in place to keep the peak low
+    keep = np.flatnonzero(w)  # an index array filters faster than a boolean mask
+    rows, cols, w = rows[keep], cols[keep], w[keep]  # rebound, so the unfiltered arrays are freed
+    return _csr_from_row_major(edges.shape[0], rows, cols, w)
+
+
+def _csr_from_row_major(n, rows, cols, values):
+    """Symmetric CSR from its nonzero entries listed in row-major order."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return SparseSymMatrix(n, indptr, cols, values)
 
 
 def normalize(w):
@@ -206,46 +219,124 @@ def save_edge_list(graph, path):
     whose clamped weight is zero; weights carry 17 significant digits so
     a reload is bit-exact.
     """
-    dense_w = graph.weights.to_dense()
     rows, cols = np.nonzero(np.triu(graph.edges, k=1))
+    # an edge missing from the sparse weights has clamped weight zero
+    weights = np.asarray(graph.weights.scipy()[rows, cols]).ravel()
+    triples = itertools.chain.from_iterable(zip(rows.tolist(), cols.tolist(), weights.tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n {graph.n}\n")
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{i} {j} {dense_w[i, j]:.17g}\n")
+        fh.write(f"n {graph.n}\n" + ("%d %d %.17g\n" * len(rows)) % tuple(triples))
+
+
+def _physical_memory_bytes():
+    """Physical memory of the machine, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def load_edge_list(path, source=None):
-    """Read a graph written by :func:`save_edge_list` and renormalize it."""
+    """Read a graph written by :func:`save_edge_list` and renormalize it.
+
+    Blank lines are allowed anywhere.  The ``n <N>`` header is checked
+    against physical memory before the N x N adjacency is allocated.  A
+    faulty file raises :class:`DataError` naming the 1-based file line of
+    its first faulty line.
+    """
     if source is None:
         source = os.path.splitext(os.path.basename(path))[0]
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+        lines = fh.read().split("\n")
+    start = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
+    header = lines[start].strip() if start < len(lines) else ""
+    if not header.startswith("n "):
         raise DataError(f"{path}: missing 'n <N>' header")
     try:
-        n = int(lines[0].split()[1])
+        n = int(header.split()[1])
     except (IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed header {lines[0]!r}") from exc
+        raise DataError(f"{path}: malformed header {header!r}") from exc
     if n < 1:
         raise DataError(f"{path}: vertex count must be positive, got {n}")
+    memory = _physical_memory_bytes()
+    if memory is not None and n * n > memory:
+        raise DataError(f"{path}: n={n} needs a {n * n}-byte adjacency, "
+                        f"more than the {memory} bytes of physical memory")
+    i, j, weight = _parse_edges(path, start + 2, lines[start + 1:], n)
     edges = np.zeros((n, n), dtype=bool)
-    w = np.zeros((n, n))
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 'i j weight', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            weight = float(parts[2])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparseable edge {line!r}") from exc
-        if not 0 <= i < j < n:
-            raise DataError(f"{path}:{lineno}: edge ({i}, {j}) out of range for n={n}")
-        if not np.isfinite(weight) or weight < 0:
-            raise DataError(f"{path}:{lineno}: invalid weight {parts[2]}")
-        if edges[i, j]:
-            raise DataError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
-        edges[i, j] = edges[j, i] = True
-        w[i, j] = w[j, i] = weight
-    weights = SparseSymMatrix.from_dense(w)
+    edges[i, j] = edges[j, i] = True
+    keep = np.flatnonzero(weight)  # zero-weight edges stay edges but leave the CSR
+    i, j, weight = i[keep], j[keep], weight[keep]
+    rows, cols, values = np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((weight, weight))
+    order = np.argsort(rows * n + cols)
+    weights = _csr_from_row_major(n, rows[order], cols[order], values[order])
     return AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source=source)
+
+
+def _parse_edges(path, first_line, body, n):
+    """Parse the ``i j weight`` lines of an edge list into ``i``, ``j`` and ``weight`` arrays.
+
+    ``body[k]`` is line ``first_line + k`` of the file; blank lines are
+    skipped.  A line is checked for its field count, then parsed, then
+    checked for ``0 <= i < j < n``, a finite nonnegative weight, and an
+    edge listed before it.  The first faulty line raises DataError.  Each
+    check looks only at the lines before the earliest fault found so far,
+    so the last fault found is the first in the file.
+    """
+    fault = None
+    counts = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
+    wrong = np.flatnonzero((counts != 3) & (counts != 0))
+    if wrong.size:
+        k = int(wrong[0])
+        fault = (k, f"expected 'i j weight', got {body[k].strip()!r}")
+        body, counts = body[:k], counts[:k]
+    line_of = np.flatnonzero(counts)  # index in body of each edge
+    tokens = " ".join(body).split()
+    try:
+        i, j, weight = _edge_arrays(tokens)
+    except (ValueError, OverflowError):
+        m, message = _first_unparsed(tokens, n, lambda r: body[line_of[r]].strip())
+        fault = (int(line_of[m]), message)
+        i, j, weight = _edge_arrays(tokens[:3 * m])
+    m = len(i)
+    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+    if bad.size:
+        m = int(bad[0])
+        fault = (int(line_of[m]), f"edge ({i[m]}, {j[m]}) out of range for n={n}")
+    bad = np.flatnonzero(~(np.isfinite(weight[:m]) & (weight[:m] >= 0)))
+    if bad.size:
+        m = int(bad[0])
+        fault = (int(line_of[m]), f"invalid weight {tokens[3 * m + 2]}")
+    keys = i[:m] * n + j[:m]
+    order = np.argsort(keys, kind="stable")
+    bad = order[1:][keys[order[1:]] == keys[order[:-1]]]  # a later copy of an earlier key
+    if bad.size:
+        m = int(bad.min())
+        fault = (int(line_of[m]), f"duplicate edge ({i[m]}, {j[m]})")
+    if fault is not None:
+        k, message = fault
+        raise DataError(f"{path}:{first_line + k}: {message}")
+    return i, j, weight
+
+
+def _edge_arrays(tokens):
+    """``i``, ``j`` and ``weight`` arrays from a flat ``i j weight ...`` token list.
+
+    numpy parses each token as ``int`` and ``float`` do; a token they
+    reject raises ValueError, and an index beyond int64 OverflowError.
+    """
+    return (np.array(tokens[0::3], dtype=np.int64), np.array(tokens[1::3], dtype=np.int64),
+            np.array(tokens[2::3], dtype=np.float64))
+
+
+def _first_unparsed(tokens, n, line):
+    """The first edge whose tokens ``_edge_arrays`` rejects, and its message."""
+    limit = np.iinfo(np.int64)
+    for r in range(len(tokens) // 3):
+        try:
+            i, j = int(tokens[3 * r]), int(tokens[3 * r + 1])
+            float(tokens[3 * r + 2])
+        except ValueError:
+            return r, f"unparseable edge {line(r)!r}"
+        if not (limit.min <= i <= limit.max and limit.min <= j <= limit.max):
+            return r, f"edge ({i}, {j}) out of range for n={n}"
+    raise AssertionError("every edge parsed")

@@ -9,6 +9,7 @@ validation loss and the best snapshot is returned.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,20 +54,25 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ParameterError(f"dropout rate must lie in [0, 1), got {self.dropout_p}")
         if self.early_stop_patience < 1:
             raise ParameterError(f"patience must be >= 1, got {self.early_stop_patience}")
         if self.max_epochs < 1:
             raise ParameterError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.l2_lambda < 0:
-            raise ParameterError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ParameterError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.omega_warmup_epochs < 0:
             raise ParameterError(f"warm-up epochs must be >= 0, got {self.omega_warmup_epochs}")
         if self.hidden_width < 1:
             raise ParameterError(f"hidden width must be >= 1, got {self.hidden_width}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ParameterError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
     def with_seed(self, seed):
         return replace(self, seed=int(seed))

@@ -60,6 +60,17 @@ class TestBuildGraph:
         assert code == 0
         assert (out / "graph_random.txt").exists()
 
+    def test_config_metric_is_read(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metric": "cosine", "betas": {}}))
+        texts = []
+        for name, extra in (("pearson", []), ("cosine", ["--config", str(cfg)])):
+            out = tmp_path / name
+            assert main(["build-graph", *dataset_args(synth_dir), "--element", "informative",
+                         "--out-dir", str(out), *extra]) == 0
+            texts.append((out / "graph_informative.txt").read_text())
+        assert texts[0] != texts[1]
+
     def test_unknown_element_is_config_error(self, synth_dir, tmp_path, capsys):
         code = main(["build-graph", *dataset_args(synth_dir),
                      "--element", "age", "--out-dir", str(tmp_path)])
@@ -137,11 +148,14 @@ CV_ARMS = [{"name": "solo", "graph_sources": ["informative"]}]
         ("train", {"train": {"max_epochs": 2.5}}),
         ("train", {"train": {"hidden_width": 4.5}}),
         ("train", {"train": {"max_epochs": True}}),
+        ("build-graph", {"omega": [0.3, 0.7, 0.1]}),
+        ("build-graph", {"train": {"max_epochs": 5}}),
     ],
     ids=["train-omega-string", "train-betas-list", "build-graph-betas-list",
          "train-betas-nonnumeric", "cv-repeats-string", "cv-val-fraction-string",
          "cv-repeats-fraction", "cv-repeats-bool", "cv-val-fraction-bool", "cv-betas-bool",
-         "train-max-epochs-fraction", "train-hidden-width-fraction", "train-max-epochs-bool"],
+         "train-max-epochs-fraction", "train-hidden-width-fraction", "train-max-epochs-bool",
+         "build-graph-omega", "build-graph-train"],
 )
 def test_malformed_config_field_is_config_error(synth_dir, tmp_path, capsys, command, payload):
     cfg = tmp_path / "cfg.json"
@@ -153,6 +167,38 @@ def test_malformed_config_field_is_config_error(synth_dir, tmp_path, capsys, com
     assert code == 2
     assert err.startswith("error:config:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("l2_lambda", float("nan")),
+        ("l2_lambda", float("inf")),
+        ("l2_lambda", -1e-3),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", 0.0),
+        ("adam_beta1", 1.0),
+        ("adam_beta1", -0.1),
+        ("adam_beta1", float("nan")),
+        ("adam_beta2", 1.0),
+        ("adam_eps", 0.0),
+        ("adam_eps", float("nan")),
+        ("adam_eps", float("inf")),
+    ],
+)
+def test_untrainable_optimizer_setting_is_parameter_error(synth_dir, tmp_path, capsys, setting, value):
+    cfg = tmp_path / "cfg.json"
+    # json writes nan and inf as NaN and Infinity, which its reader accepts
+    cfg.write_text(json.dumps({"train": {setting: value, "max_epochs": 3}}))
+    code = main(["train", *dataset_args(synth_dir), "--graphs", "informative",
+                 "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:parameter:")
+    assert setting in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestGradcheck:

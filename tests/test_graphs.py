@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from oracles import power_iteration_radius
 
+import pgcn.graphs
 from pgcn.errors import DataError, ParameterError, ShapeError
 from pgcn.graphs import (
     AffinityGraph,
@@ -288,3 +290,158 @@ class TestEdgeListRoundTrip:
         out_of_range.write_text("n 3\n0 3 0.5\n")
         with pytest.raises(DataError):
             load_edge_list(out_of_range)
+
+
+def dense_reference_affinity(sim, edges):
+    """The dense weighting ``build_affinity`` replaced, kept as its oracle."""
+    w = np.maximum(np.where(edges, sim, 0.0), 0.0)
+    return SparseSymMatrix.from_dense(0.5 * (w + w.T))
+
+
+def reference_edge_list_text(graph):
+    """The per-line writer ``save_edge_list`` replaced, kept as its oracle."""
+    dense = graph.weights.to_dense()
+    rows, cols = np.nonzero(np.triu(graph.edges, k=1))
+    return f"n {graph.n}\n" + "".join(f"{i} {j} {dense[i, j]:.17g}\n" for i, j in zip(rows.tolist(), cols.tolist()))
+
+
+def reference_loaded_weights(text):
+    """Dense build of an edge list's weights, one line at a time, as the old loader did."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    n = int(lines[0][1])
+    edges, w = np.zeros((n, n), dtype=bool), np.zeros((n, n))
+    for i, j, weight in lines[1:]:
+        i, j = int(i), int(j)
+        edges[i, j] = edges[j, i] = True
+        w[i, j] = w[j, i] = float(weight)
+    return edges, SparseSymMatrix.from_dense(w)
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def oracle_graph(n, density, seed):
+    """Edges at ``density`` with vertex 0 isolated, and an asymmetric similarity with negatives."""
+    rng = np.random.default_rng(seed)
+    sim = rng.uniform(-1.0, 1.0, size=(n, n))
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    edges = upper | upper.T
+    edges[0, :] = edges[:, 0] = False
+    return sim, edges
+
+
+class TestBulkPathsMatchDenseReference:
+    @pytest.mark.parametrize("n", [2, 3, 50, 400])
+    @pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
+    def test_build_affinity_bytes(self, n, density):
+        sim, edges = oracle_graph(n, density, seed=n)
+        got, ref = build_affinity(sim, edges), dense_reference_affinity(sim, edges)
+        assert_same_csr(got, ref)
+        assert_same_csr(normalize(got), normalize(ref))
+        if n > 3 and density > 0:
+            assert np.count_nonzero(edges) > got.nnz  # clamped-zero edges were dropped
+
+    @pytest.mark.parametrize("n, density", [(2, 1.0), (3, 0.0), (50, 0.4), (400, 0.4), (60, 1.0)])
+    def test_edge_list_bytes_and_reload(self, tmp_path, n, density):
+        sim, edges = oracle_graph(n, density, seed=n + 1)
+        weights = build_affinity(sim, edges)
+        graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
+        path = tmp_path / "g.txt"
+        save_edge_list(graph, path)
+        text = path.read_text()
+        assert text == reference_edge_list_text(graph)
+        loaded = load_edge_list(path)
+        ref_edges, ref_weights = reference_loaded_weights(text)
+        np.testing.assert_array_equal(loaded.edges, ref_edges)
+        assert_same_csr(loaded.weights, ref_weights)
+        assert_same_csr(loaded.normalized, normalize(ref_weights))
+        save_edge_list(loaded, path)
+        assert path.read_text() == text
+
+    def test_edge_list_io_allocates_no_dense_float_matrix(self, tmp_path):
+        n = 2000
+        edges = np.zeros((n, n), dtype=bool)
+        edges[0, 1:4] = edges[1:4, 0] = True
+        weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
+        graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
+        path = tmp_path / "g.txt"
+        for step in (lambda: save_edge_list(graph, path), lambda: load_edge_list(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n // 2  # an N x N float64 array would be 8 n^2 bytes
+
+
+class TestEdgeListFaults:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 0.5\n\n0 2\n", ":4: expected 'i j weight', got '0 2'"),
+            ("0 1 0.5\n\n0 two 0.5\n", ":4: unparseable edge '0 two 0.5'"),
+            ("0 1 0.5\n\n0 3 0.5\n", ":4: edge (0, 3) out of range for n=3"),
+            ("0 1 0.5\n\n2 1 0.5\n", ":4: edge (2, 1) out of range for n=3"),
+            ("0 1 0.5\n\n99999999999999999999 1 0.5\n",
+             ":4: edge (99999999999999999999, 1) out of range for n=3"),
+            ("0 1 0.5\n\n0 2 -1\n", ":4: invalid weight -1"),
+            ("0 1 0.5\n\n0 2 nan\n", ":4: invalid weight nan"),
+            ("0 1 0.5\n\n\n0 1 0.5\n", ":5: duplicate edge (0, 1)"),
+        ],
+        ids=["field-count", "unparseable", "out-of-range", "reversed", "int64-overflow", "negative-weight",
+             "nan-weight", "duplicate"],
+    )
+    def test_message_names_file_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("n 3\n" + body)
+        with pytest.raises(DataError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 0.5\n0 2 -1\n\n1 2 x\n", ":3: invalid weight -1"),
+            ("0 1 1\n\n0 1 1\n0 9 1\n", ":4: duplicate edge (0, 1)"),
+            ("0 1 1\n0 1 1\n1 2 3 4\n", ":3: duplicate edge (0, 1)"),
+            ("0 x 1\n\n0 9 1\n", ":2: unparseable edge '0 x 1'"),
+            ("0 9 1\n\n0 1 x\n", ":2: edge (0, 9) out of range for n=3"),
+            ("1 2 -1\n\n99999999999999999999 1 0.5\n", ":2: invalid weight -1"),
+        ],
+        ids=["weight-before-parse", "duplicate-before-range", "duplicate-before-count", "parse-before-range",
+             "range-before-parse", "weight-before-overflow"],
+    )
+    def test_earlier_line_wins(self, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("n 3\n" + body)
+        with pytest.raises(DataError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_blank_lines_allowed_and_tokens_parse_as_int_and_float(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("\n  n 12 \n\n0 1_0 +.5\n\t\n2 3 1e-3\n\n")
+        graph = load_edge_list(path)
+        assert graph.edge_count == 2
+        assert graph.weights.to_dense()[0, 10] == 0.5
+        assert graph.weights.to_dense()[3, 2] == 1e-3
+
+    def test_header_beyond_physical_memory(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text("n 100\n0 1 0.5\n")
+        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 100)
+        assert load_edge_list(path).n == 100
+        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 100 - 1)
+        with pytest.raises(DataError, match=r"n=100 needs a 10000-byte adjacency"):
+            load_edge_list(path)
+
+    def test_header_beyond_address_space(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("n 10000000000\n")  # 1e20 bytes of adjacency: no allocation could succeed
+        with pytest.raises(DataError, match=r"n=10000000000 needs"):
+            load_edge_list(path)
