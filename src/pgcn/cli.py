@@ -36,6 +36,11 @@ from .model import init_params, save_checkpoint
 from .training import grad_check, train
 
 GRADCHECK_THRESHOLD = 1e-5
+# Every gradcheck instance: subjects, features, hidden units, classes,
+# branches, labeled subjects, and the L2 weight of the redraw test.
+GRADCHECK_N, GRADCHECK_D, GRADCHECK_H, GRADCHECK_K, GRADCHECK_M = 12, 5, 4, 2, 2
+GRADCHECK_LABELED = 8
+GRADCHECK_L2 = 5e-4
 
 
 def _add_common(parser, out_dir=True):
@@ -125,7 +130,7 @@ def cmd_cv(args):
     return 0
 
 
-def gradcheck_instance(seed, n=12, d=5, h=4, k=2, m=2, n_labeled=8, l2_lambda=5e-4):
+def gradcheck_instance(seed):
     """Seeded random instance for gradient verification.
 
     Central differences of the full loss resolve a gradient entry only
@@ -136,12 +141,13 @@ def gradcheck_instance(seed, n=12, d=5, h=4, k=2, m=2, n_labeled=8, l2_lambda=5e
     otherwise be dominated by rounding noise rather than gradient
     correctness.
     """
+    n, d, h, k, m = GRADCHECK_N, GRADCHECK_D, GRADCHECK_H, GRADCHECK_K, GRADCHECK_M
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     graphs = [random_graph(n, 0.4, seed=[seed, 13 + i]) for i in range(m)]
     labels = rng.integers(0, k, size=n)
     mask = np.zeros(n, dtype=bool)
-    mask[rng.choice(n, size=n_labeled, replace=False)] = True
+    mask[rng.choice(n, size=GRADCHECK_LABELED, replace=False)] = True
     dataset = Dataset(
         subject_ids=[f"g{i}" for i in range(n)],
         X=x,
@@ -154,7 +160,7 @@ def gradcheck_instance(seed, n=12, d=5, h=4, k=2, m=2, n_labeled=8, l2_lambda=5e
     while True:
         params = init_params(d, h, k, m, seed=param_rng)
         cache = forward_eval(x, ops, params)
-        grads = backward(cache, dataset.Y, mask, params, l2_lambda)
+        grads = backward(cache, dataset.Y, mask, params, GRADCHECK_L2)
         if np.min(np.abs(grads.vector)) >= 2e-5:
             return dataset, graphs, params
 

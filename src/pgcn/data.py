@@ -133,38 +133,36 @@ def synth_generate(n, d, seed, informative_strength=1.0, noise=1.0):
 
 
 def _read_rows(path):
+    """``(file line, cells)`` for each non-blank line; file lines count from 1."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+            return [(lineno, line.rstrip("\r\n").split(","))
+                    for lineno, line in enumerate(fh, start=1) if line.strip()]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _number(cell, path, lineno, column):
+    """``float(cell)``; a fault names the file line and the column number or name."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: column {column!r}: unparseable number {cell!r}") from None
 
 
 def _parse_features(path):
     rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty feature file")
-
-    def try_parse(cells):
-        try:
-            return [float(c) for c in cells]
-        except ValueError:
-            return None
-
-    start = 0
-    if try_parse(rows[0]) is None:
-        start = 1  # header row
-    width = len(rows[start]) if start < len(rows) else 0
     data = []
-    for lineno, cells in enumerate(rows[start:], start=start + 1):
-        if len(cells) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
-        for colno, cell in enumerate(cells, start=1):
-            try:
-                float(cell)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: column {colno}: unparseable number {cell!r}") from None
-        data.append([float(c) for c in cells])
+    for lineno, cells in rows:
+        if data and len(cells) != len(data[0]):
+            raise DataError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(cells)}")
+        try:
+            data.append([_number(cell, path, lineno, colno) for colno, cell in enumerate(cells, start=1)])
+        except DataError:
+            if lineno != rows[0][0]:
+                raise  # a first row that is not all numbers is the header
     if not data:
         raise DataError(f"{path}: no feature rows")
     return np.asarray(data, dtype=np.float64)
@@ -172,10 +170,10 @@ def _parse_features(path):
 
 def _parse_meta(path):
     rows = _read_rows(path)
-    if not rows or rows[0][0] != "subject_id":
+    if not rows or rows[0][1][0] != "subject_id":
         raise DataError(f"{path}: metadata header must start with 'subject_id'")
     columns = []
-    for cell in rows[0][1:]:
+    for cell in rows[0][1][1:]:
         name, sep, kind = cell.partition(":")
         if not sep or kind not in (CATEGORICAL, CONTINUOUS) or not name:
             raise DataError(f"{path}: metadata column {cell!r} is not declared as name:kind")
@@ -183,7 +181,7 @@ def _parse_meta(path):
     ids = []
     values = [[] for _ in columns]
     seen = set()
-    for lineno, cells in enumerate(rows[1:], start=2):
+    for lineno, cells in rows[1:]:
         if len(cells) != len(columns) + 1:
             raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} cells")
         subject = cells[0]
@@ -192,15 +190,7 @@ def _parse_meta(path):
         seen.add(subject)
         ids.append(subject)
         for k, ((name, kind), cell) in enumerate(zip(columns, cells[1:])):
-            if kind == CONTINUOUS:
-                try:
-                    values[k].append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: column {name!r}: unparseable number {cell!r}"
-                    ) from None
-            else:
-                values[k].append(cell)
+            values[k].append(_number(cell, path, lineno, name) if kind == CONTINUOUS else cell)
     meta = [
         MetaColumn(name, kind, np.asarray(vals))
         for (name, kind), vals in zip(columns, values)
@@ -210,9 +200,9 @@ def _parse_meta(path):
 
 def _parse_labels(path):
     rows = _read_rows(path)
-    start = 1 if rows and rows[0][:2] == ["subject_id", "label"] else 0
+    start = 1 if rows and rows[0][1][:2] == ["subject_id", "label"] else 0
     mapping = {}
-    for lineno, cells in enumerate(rows[start:], start=start + 1):
+    for lineno, cells in rows[start:]:
         if len(cells) != 2:
             raise DataError(f"{path}:{lineno}: expected 'subject_id,label'")
         subject, label = cells
@@ -245,16 +235,10 @@ def load_dataset(features_path, meta_path, labels_path):
     n_classes = max(label_map.values()) + 1
     if n_classes < 2:
         raise DataError("labels must span at least 2 classes")
-    n = len(ids)
-    y = np.zeros((n, n_classes))
-    labeled = np.zeros(n, dtype=bool)
-    for i, subject in enumerate(ids):
-        cls = label_map.get(subject)
-        if cls is None:
-            y[i, 0] = 1.0  # placeholder, excluded by the mask
-        else:
-            y[i, cls] = 1.0
-            labeled[i] = True
+    classes = np.array([label_map.get(subject, -1) for subject in ids])
+    labeled = classes >= 0
+    y = np.zeros((len(ids), n_classes))
+    y[np.arange(len(ids)), np.where(labeled, classes, 0)] = 1.0  # class 0 is the unlabeled placeholder
     return Dataset(subject_ids=ids, X=x, meta=meta, Y=y, labeled_mask=labeled)
 
 

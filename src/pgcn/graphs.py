@@ -65,7 +65,11 @@ class MetaColumn:
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Edge set, similarity weights, and normalized operator for one element."""
+    """Edge set, similarity weights, and normalized operator for one element.
+
+    A read-only boolean ``edges`` array is kept as handed over; any other
+    is copied and frozen.
+    """
 
     edges: np.ndarray             # N x N boolean, symmetric, no self-edges
     weights: SparseSymMatrix      # W >= 0, nonzero only on edges
@@ -73,9 +77,11 @@ class AffinityGraph:
     source: str
 
     def __post_init__(self):
-        frozen = np.array(self.edges, dtype=bool)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "edges", frozen)
+        edges = self.edges
+        if not (isinstance(edges, np.ndarray) and edges.dtype == bool and not edges.flags.writeable):
+            edges = np.array(edges, dtype=bool)
+            edges.setflags(write=False)
+            object.__setattr__(self, "edges", edges)
 
     @property
     def n(self):
@@ -107,7 +113,8 @@ def build_edges(col, beta=None):
         if not beta > 0:
             raise ParameterError(f"threshold for continuous column {col.name!r} must be > 0, got {beta}")
         v = col.values
-        adj = np.abs(v[:, None] - v[None, :]) < beta
+        diff = v[:, None] - v[None, :]
+        adj = np.abs(diff, out=diff) < beta
     else:
         v = col.values
         adj = v[:, None] == v[None, :]
@@ -138,7 +145,7 @@ def similarity_matrix(x, metric="pearson"):
         sim = unit @ unit.T
     else:
         raise ParameterError(f"unknown similarity metric {metric!r}")
-    sim = np.clip(sim, -1.0, 1.0)
+    np.clip(sim, -1.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -200,6 +207,7 @@ def random_graph(n, density, seed):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     edges = upper | upper.T
+    edges.setflags(write=False)
     weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
     return AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="random")
 
@@ -207,6 +215,7 @@ def random_graph(n, density, seed):
 def build_graph(col, features, beta=None, metric="pearson"):
     """Full pipeline for one metadata element: edges, weights, normalization."""
     edges = build_edges(col, beta=beta)
+    edges.setflags(write=False)
     sim = similarity_matrix(features, metric=metric)
     weights = build_affinity(sim, edges)
     return AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source=col.name)
@@ -264,6 +273,7 @@ def load_edge_list(path, source=None):
     i, j, weight = _parse_edges(path, start + 2, lines[start + 1:], n)
     edges = np.zeros((n, n), dtype=bool)
     edges[i, j] = edges[j, i] = True
+    edges.setflags(write=False)
     keep = np.flatnonzero(weight)  # zero-weight edges stay edges but leave the CSR
     i, j, weight = i[keep], j[keep], weight[keep]
     rows, cols, values = np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((weight, weight))

@@ -4,7 +4,7 @@ Dense matrices are plain 2-D ``numpy.ndarray`` objects in float64;
 :class:`SparseSymMatrix` stores symmetric operators (graph adjacencies and
 their normalized forms) in compressed sparse row layout.  Everything here
 is a pure function of its inputs: arrays handed to constructors are copied
-and frozen, so values can be shared freely across threads.
+and frozen.
 """
 
 import numpy as np

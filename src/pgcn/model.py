@@ -116,7 +116,6 @@ class ForwardCache:
 
     branches: list
     graphs: list
-    fused: np.ndarray            # Z
     probs: np.ndarray            # softmax_rows(Z)
     params: ModelParams = field(repr=False)
 
@@ -214,8 +213,8 @@ def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
         cache, logits = branch_forward(x, graphs[m], params.theta0[m], params.theta1[m], dropout)
         branches.append(cache)
         branch_logits.append(logits)
-    fused, probs = rank_combine(branch_logits, params.omega)
-    return ForwardCache(branches=branches, graphs=list(graphs), fused=fused, probs=probs, params=params)
+    _, probs = rank_combine(branch_logits, params.omega)
+    return ForwardCache(branches=branches, graphs=list(graphs), probs=probs, params=params)
 
 
 def backward(cache, y, labeled_mask, params, l2_lambda=0.0):

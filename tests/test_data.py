@@ -203,3 +203,48 @@ class TestLoadDataset:
         )
         with pytest.raises(DataError):
             load_dataset(*paths)
+
+    @pytest.mark.parametrize(
+        "target, text, message",
+        [
+            ("features", "f0,f1\n\n1,2\nx,3\n", "4: column 1: unparseable number 'x'"),
+            ("features", "1,2\n\n \n3\n", "4: expected 2 columns, got 1"),
+            ("features", "f0,f1\r\n\r\n1,2\r\n3,y\r\n", "4: column 2: unparseable number 'y'"),
+            ("meta", "subject_id,age:continuous\n\na,1\nb,x\n", "4: column 'age': unparseable number 'x'"),
+            ("meta", "subject_id,g:categorical\n\na,M\nb\n", "4: expected 2 cells"),
+            ("meta", "subject_id,g:categorical\n\na,M\na,F\n", "4: duplicate subject_id 'a'"),
+            ("labels", "subject_id,label\n\na,0\nb,x\n", "4: unparseable class index 'x'"),
+            ("labels", "subject_id,label\n\na,0\nb,-1\n", "4: class index must be >= 0, got -1"),
+            ("labels", "subject_id,label\n\na,0\na,1\n", "4: duplicate label for 'a'"),
+            ("labels", "subject_id,label\n\na,0\nb\n", "4: expected 'subject_id,label'"),
+        ],
+        ids=["features-number", "features-width", "features-crlf", "meta-number", "meta-cells", "meta-duplicate",
+             "labels-class", "labels-negative", "labels-duplicate", "labels-cells"],
+    )
+    def test_fault_after_blank_line_names_file_line(self, tmp_path, target, text, message):
+        files = {
+            "features": "1.0,2.0\n3.0,4.0\n",
+            "meta": "subject_id,g:categorical\na,M\nb,F\n",
+            "labels": "subject_id,label\na,0\nb,1\n",
+        }
+        files[target] = text
+        paths = self.write(tmp_path, files["features"], files["meta"], files["labels"])
+        path = paths[["features", "meta", "labels"].index(target)]
+        with pytest.raises(DataError) as exc:
+            load_dataset(*paths)
+        assert str(exc.value) == f"{path}:{message}"
+
+    def test_labels_match_a_per_subject_build(self, tmp_path):
+        paths = self.write(
+            tmp_path,
+            "1\n2\n3\n4\n5\n",
+            "subject_id,g:categorical\na,M\nb,F\nc,M\nd,F\ne,M\n",
+            "subject_id,label\nd,2\nb,0\na,2\n",
+        )
+        dataset = load_dataset(*paths)
+        labels = {"a": 2, "b": 0, "d": 2}
+        y = np.zeros((5, 3))
+        for i, subject in enumerate("abcde"):
+            y[i, labels.get(subject, 0)] = 1.0
+        assert dataset.Y.dtype == np.float64 and dataset.Y.tobytes() == y.tobytes()
+        np.testing.assert_array_equal(dataset.labeled_mask, [True, True, False, True, False])

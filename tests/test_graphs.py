@@ -22,6 +22,16 @@ from pgcn.graphs import (
 from pgcn.linalg import SparseSymMatrix
 
 
+def traced_peak(step):
+    """Peak bytes that tracemalloc sees while ``step()`` runs."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def random_weights(n, density, rng):
     sim = np.clip(rng.normal(size=(n, n)), -1, 1)
     sim = 0.5 * (sim + sim.T)
@@ -74,6 +84,11 @@ class TestBuildEdges:
             np.testing.assert_array_equal(adj, adj.T)
             assert not np.any(np.diag(adj))
 
+    def test_continuous_peak_below_one_and_a_half_float_matrices(self):
+        n = 1000
+        col = MetaColumn("age", "continuous", np.random.default_rng(0).uniform(20, 80, n))
+        assert traced_peak(lambda: build_edges(col, beta=2.0)) < 1.5 * 8 * n * n
+
 
 class TestSimilarityMatrix:
     def test_identical_rows(self):
@@ -106,6 +121,12 @@ class TestSimilarityMatrix:
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             similarity_matrix(np.ones((2, 3)), metric="manhattan")
+
+    @pytest.mark.parametrize("metric", ["pearson", "cosine"])
+    def test_peak_below_one_and_a_half_float_matrices(self, metric):
+        n = 1000
+        x = np.random.default_rng(0).normal(size=(n, 8))
+        assert traced_peak(lambda: similarity_matrix(x, metric=metric)) < 1.5 * 8 * n * n
 
 
 class TestBuildAffinity:
@@ -224,6 +245,33 @@ class TestRandomGraph:
             random_graph(10, 0.0, seed=0)
         with pytest.raises(ParameterError):
             random_graph(10, 1.5, seed=0)
+
+
+class TestAffinityGraphEdges:
+    def test_edges_are_read_only(self, tmp_path):
+        col = MetaColumn("g", "categorical", ["a", "b", "a", "b"])
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        built = build_graph(col, x)
+        path = tmp_path / "g.txt"
+        save_edge_list(built, path)
+        for graph in (built, random_graph(6, 0.5, seed=0), load_edge_list(path)):
+            assert not graph.edges.flags.writeable
+            with pytest.raises(ValueError):
+                graph.edges[0, 1] = True
+
+    def test_writes_to_the_callers_array_do_not_reach_the_graph(self):
+        edges = np.zeros((3, 3), dtype=bool)
+        edges[0, 1] = edges[1, 0] = True
+        weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
+        graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
+        edges[1, 2] = edges[2, 1] = True
+        assert graph.edge_count == 1
+
+    def test_load_edge_list_holds_one_adjacency(self, tmp_path):
+        n = 2000
+        path = tmp_path / "g.txt"
+        path.write_text(f"n {n}\n0 1 0.5\n")
+        assert traced_peak(lambda: load_edge_list(path)) < 1.5 * n * n  # the bool adjacency is n^2 bytes
 
 
 class TestPermutationEquivariance:
@@ -370,13 +418,7 @@ class TestBulkPathsMatchDenseReference:
         graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
         path = tmp_path / "g.txt"
         for step in (lambda: save_edge_list(graph, path), lambda: load_edge_list(path)):
-            tracemalloc.start()
-            try:
-                step()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * n * n // 2  # an N x N float64 array would be 8 n^2 bytes
+            assert traced_peak(step) < 8 * n * n // 2  # an N x N float64 array would be 8 n^2 bytes
 
 
 class TestEdgeListFaults:
