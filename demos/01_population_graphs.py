@@ -53,7 +53,7 @@ weights = build_affinity(sim, edges)
 print(f"\nsimilarity range on edges: "
       f"[{weights.data.min() if weights.nnz else 0.0:.3f}, "
       f"{weights.data.max() if weights.nnz else 0.0:.3f}]")
-print(f"clamped (zero-weight) edges: {np.count_nonzero(np.triu(edges, 1)) - weights.nnz // 2}")
+print(f"clamped (zero-weight) edges: {np.count_nonzero(weights.data == 0.0) // 2}")
 
 # Step 3: the propagation operator D^{-1/2} (W + I) D^{-1/2}.  Its
 # spectrum lives in [-1, 1], which keeps repeated propagation stable.

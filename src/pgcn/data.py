@@ -198,7 +198,8 @@ def _parse_meta(path):
     return ids, meta
 
 
-def _parse_labels(path):
+def _parse_labels(path, n_subjects):
+    """Map each labeled subject to its class index, which must lie below ``n_subjects``."""
     rows = _read_rows(path)
     start = 1 if rows and rows[0][1][:2] == ["subject_id", "label"] else 0
     mapping = {}
@@ -214,6 +215,8 @@ def _parse_labels(path):
             raise DataError(f"{path}:{lineno}: unparseable class index {label!r}") from None
         if cls < 0:
             raise DataError(f"{path}:{lineno}: class index must be >= 0, got {cls}")
+        if cls >= n_subjects:  # checked before the index sizes Y
+            raise DataError(f"{path}:{lineno}: class index must be < {n_subjects}, the subject count, got {cls}")
         mapping[subject] = cls
     return mapping
 
@@ -222,7 +225,7 @@ def load_dataset(features_path, meta_path, labels_path):
     """Assemble a Dataset from the three CSV files."""
     x = _parse_features(features_path)
     ids, meta = _parse_meta(meta_path)
-    label_map = _parse_labels(labels_path)
+    label_map = _parse_labels(labels_path, len(ids))
     if x.shape[0] != len(ids):
         raise DataError(
             f"join mismatch: {x.shape[0]} feature rows vs {len(ids)} metadata subjects"

@@ -65,31 +65,31 @@ class MetaColumn:
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Edge set, similarity weights, and normalized operator for one element.
+    """Similarity weights and normalized operator for one element.
 
-    A read-only boolean ``edges`` array is kept as handed over; any other
-    is copied and frozen.
+    The stored pattern of ``weights`` is the edge set: an edge whose
+    clamped similarity is zero is a stored ``0.0``.
     """
 
-    edges: np.ndarray             # N x N boolean, symmetric, no self-edges
-    weights: SparseSymMatrix      # W >= 0, nonzero only on edges
+    weights: SparseSymMatrix      # W >= 0, stored exactly on the edges
     normalized: SparseSymMatrix   # D^{-1/2} (W + I) D^{-1/2}
     source: str
 
-    def __post_init__(self):
-        edges = self.edges
-        if not (isinstance(edges, np.ndarray) and edges.dtype == bool and not edges.flags.writeable):
-            edges = np.array(edges, dtype=bool)
-            edges.setflags(write=False)
-            object.__setattr__(self, "edges", edges)
+    @property
+    def edges(self):
+        """The edge set as a boolean CSR matrix over W's frozen index arrays."""
+        w = self.weights
+        flags = np.ones(w.nnz, dtype=bool)
+        flags.setflags(write=False)
+        return scipy.sparse.csr_matrix((flags, w.indices, w.indptr), shape=(w.dim, w.dim))
 
     @property
     def n(self):
-        return self.edges.shape[0]
+        return self.weights.dim
 
     @property
     def edge_count(self):
-        return int(np.count_nonzero(np.triu(self.edges, k=1)))
+        return self.weights.nnz // 2
 
     @property
     def density(self):
@@ -135,7 +135,7 @@ def similarity_matrix(x, metric="pearson"):
         degenerate = np.flatnonzero(~(stds > 0))
         if degenerate.size:
             raise DataError(f"subject {int(degenerate[0])} has zero feature variance")
-        sim = np.corrcoef(x)
+        sim = np.atleast_2d(np.corrcoef(x))  # corrcoef of one row is a scalar
     elif metric == "cosine":
         norms = np.linalg.norm(x, axis=1)
         degenerate = np.flatnonzero(~(norms > 0))
@@ -154,8 +154,8 @@ def build_affinity(sim, edges):
     """Mask similarities onto the edge set, clamping negatives to zero.
 
     Normalization assumes nonnegative weights, so an edge whose endpoint
-    features anti-correlate keeps the edge but contributes zero weight.
-    Only edge pairs are weighted, each by ``0.5 * (w_ij + w_ji)`` of its
+    features anti-correlate keeps the edge as a stored zero weight.  Only
+    edge pairs are weighted, each by ``0.5 * (w_ij + w_ji)`` of its
     clamped similarities, which forces bitwise symmetry against BLAS
     rounding in ``sim``.
     """
@@ -171,8 +171,6 @@ def build_affinity(sim, edges):
     w = np.maximum(sim[rows, cols], 0.0)
     w += np.maximum(sim[cols, rows], 0.0)
     w *= 0.5  # 0.5 * (w_ij + w_ji) exactly, in place to keep the peak low
-    keep = np.flatnonzero(w)  # an index array filters faster than a boolean mask
-    rows, cols, w = rows[keep], cols[keep], w[keep]  # rebound, so the unfiltered arrays are freed
     return _csr_from_row_major(edges.shape[0], rows, cols, w)
 
 
@@ -206,31 +204,28 @@ def random_graph(n, density, seed):
         raise ParameterError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
-    edges = upper | upper.T
-    edges.setflags(write=False)
-    weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
-    return AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="random")
+    weights = SparseSymMatrix.from_dense((upper | upper.T).astype(np.float64))
+    return AffinityGraph(weights=weights, normalized=normalize(weights), source="random")
 
 
 def build_graph(col, features, beta=None, metric="pearson"):
     """Full pipeline for one metadata element: edges, weights, normalization."""
-    edges = build_edges(col, beta=beta)
-    edges.setflags(write=False)
-    sim = similarity_matrix(features, metric=metric)
-    weights = build_affinity(sim, edges)
-    return AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source=col.name)
+    edges = build_edges(col, beta=beta)  # before the similarity, so the two peaks do not overlap
+    weights = build_affinity(similarity_matrix(features, metric=metric), edges)
+    return AffinityGraph(weights=weights, normalized=normalize(weights), source=col.name)
 
 
 def save_edge_list(graph, path):
     """Write a graph as a text edge list: ``n <N>`` then ``i j weight`` per edge.
 
-    Every edge of the adjacency is listed once (i < j), including edges
-    whose clamped weight is zero; weights carry 17 significant digits so
-    a reload is bit-exact.
+    Every edge, the stored pattern of W, is listed once (i < j), including
+    edges whose clamped weight is zero; weights carry 17 significant
+    digits so a reload is bit-exact.
     """
-    rows, cols = np.nonzero(np.triu(graph.edges, k=1))
-    # an edge missing from the sparse weights has clamped weight zero
-    weights = np.asarray(graph.weights.scipy()[rows, cols]).ravel()
+    w = graph.weights
+    rows = np.repeat(np.arange(w.dim), np.diff(w.indptr))
+    upper = np.flatnonzero(w.indices > rows)  # row-major, as CSR stores it
+    rows, cols, weights = rows[upper], w.indices[upper], w.data[upper]
     triples = itertools.chain.from_iterable(zip(rows.tolist(), cols.tolist(), weights.tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"n {graph.n}\n" + ("%d %d %.17g\n" * len(rows)) % tuple(triples))
@@ -248,9 +243,10 @@ def load_edge_list(path, source=None):
     """Read a graph written by :func:`save_edge_list` and renormalize it.
 
     Blank lines are allowed anywhere.  The ``n <N>`` header is checked
-    against physical memory before the N x N adjacency is allocated.  A
-    faulty file raises :class:`DataError` naming the 1-based file line of
-    its first faulty line.
+    against physical memory, N² bytes as for a dense N x N adjacency,
+    before anything is sized from it.  A zero-weight edge is a stored
+    zero of the weights.  A faulty file raises :class:`DataError` naming
+    the 1-based file line of its first faulty line.
     """
     if source is None:
         source = os.path.splitext(os.path.basename(path))[0]
@@ -271,15 +267,11 @@ def load_edge_list(path, source=None):
         raise DataError(f"{path}: n={n} needs a {n * n}-byte adjacency, "
                         f"more than the {memory} bytes of physical memory")
     i, j, weight = _parse_edges(path, start + 2, lines[start + 1:], n)
-    edges = np.zeros((n, n), dtype=bool)
-    edges[i, j] = edges[j, i] = True
-    edges.setflags(write=False)
-    keep = np.flatnonzero(weight)  # zero-weight edges stay edges but leave the CSR
-    i, j, weight = i[keep], j[keep], weight[keep]
+    weight += 0.0  # a "-0" weight is stored as +0.0, so the writer prints "0" as for every other zero
     rows, cols, values = np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((weight, weight))
     order = np.argsort(rows * n + cols)
     weights = _csr_from_row_major(n, rows[order], cols[order], values[order])
-    return AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source=source)
+    return AffinityGraph(weights=weights, normalized=normalize(weights), source=source)
 
 
 def _parse_edges(path, first_line, body, n):

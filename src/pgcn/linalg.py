@@ -163,5 +163,6 @@ def _validate_symmetry(csr):
     t.sort_indices()
     if not (np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)):
         raise DataError("sparse matrix pattern is not symmetric")
-    if t.data.size and np.max(np.abs(t.data - csr.data)) > SYMMETRY_TOL:
+    diff = t.data - csr.data
+    if diff.size and np.max(np.abs(diff, out=diff)) > SYMMETRY_TOL:  # in place: one full-length temporary
         raise DataError("sparse matrix values are not symmetric")

@@ -201,6 +201,69 @@ def test_untrainable_optimizer_setting_is_parameter_error(synth_dir, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_class_index_beyond_subjects_is_data_error(synth_dir, tmp_path, capsys):
+    labels = synth_dir / "labels.csv"
+    lines = labels.read_text().splitlines()
+    lines[2] = lines[2].split(",")[0] + ",10000000000000"  # would size Y at 146 TiB
+    labels.write_text("\n".join(lines) + "\n")
+    code = main(["build-graph", *dataset_args(synth_dir), "--element", "informative",
+                 "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error:data: {labels}:3: class index must be < 60")
+    assert err.count("\n") == 1
+
+
+EDGE_LIST_FAULTS = ("truncated-line", "swapped-tokens", "huge-index", "negative-index", "huge-header",
+                    "nan-weight", "duplicate-line", "empty-file")
+
+
+def mutate_edge_list(text, kind, rng):
+    """``text`` with one fault of ``kind`` on an edge line that ``rng`` picks."""
+    lines = text.splitlines()
+    k = int(rng.integers(1, len(lines)))  # line 0 is the header
+    tokens = lines[k].split()
+    if kind == "truncated-line":
+        lines[k] = lines[k][:int(rng.integers(len(lines[k])))]
+    elif kind == "swapped-tokens":
+        a, b = rng.choice(3, size=2, replace=False)
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+    elif kind == "huge-index":
+        tokens[int(rng.integers(2))] = str(10 ** int(rng.integers(2, 40)))
+    elif kind == "negative-index":
+        tokens[int(rng.integers(2))] = str(-int(rng.integers(1, 100)))
+    elif kind == "huge-header":
+        lines[0] = f"n {10 ** int(rng.integers(2, 40))}"
+    elif kind == "nan-weight":
+        tokens[2] = "nan"
+    elif kind == "duplicate-line":
+        lines.insert(int(rng.integers(1, len(lines) + 1)), lines[k])
+    elif kind == "empty-file":
+        return ""
+    if kind in ("swapped-tokens", "huge-index", "negative-index", "nan-weight"):
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", EDGE_LIST_FAULTS)
+def test_seeded_edge_list_faults_end_in_one_error_line(synth_dir, tmp_path, capsys, kind):
+    assert main(["build-graph", *dataset_args(synth_dir), "--element", "informative",
+                 "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "graph_informative.txt").read_text()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"max_epochs": 2, "hidden_width": 4}}))
+    capsys.readouterr()
+    rng = np.random.default_rng([5, EDGE_LIST_FAULTS.index(kind)])
+    for case in range(4):
+        path = tmp_path / f"mutant_{case}.txt"
+        path.write_text(mutate_edge_list(text, kind, rng))
+        code = main(["train", *dataset_args(synth_dir), "--graphs", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if code != 0 or err:
+            assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (kind, case, err)
+
+
 class TestGradcheck:
     def test_passes_and_prints_per_seed(self, capsys):
         code = main(["gradcheck", "--count", "3", "--seed", "0"])

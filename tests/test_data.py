@@ -215,11 +215,12 @@ class TestLoadDataset:
             ("meta", "subject_id,g:categorical\n\na,M\na,F\n", "4: duplicate subject_id 'a'"),
             ("labels", "subject_id,label\n\na,0\nb,x\n", "4: unparseable class index 'x'"),
             ("labels", "subject_id,label\n\na,0\nb,-1\n", "4: class index must be >= 0, got -1"),
+            ("labels", "subject_id,label\n\na,0\nb,2\n", "4: class index must be < 2, the subject count, got 2"),
             ("labels", "subject_id,label\n\na,0\na,1\n", "4: duplicate label for 'a'"),
             ("labels", "subject_id,label\n\na,0\nb\n", "4: expected 'subject_id,label'"),
         ],
         ids=["features-number", "features-width", "features-crlf", "meta-number", "meta-cells", "meta-duplicate",
-             "labels-class", "labels-negative", "labels-duplicate", "labels-cells"],
+             "labels-class", "labels-negative", "labels-beyond-subjects", "labels-duplicate", "labels-cells"],
     )
     def test_fault_after_blank_line_names_file_line(self, tmp_path, target, text, message):
         files = {

@@ -81,7 +81,7 @@ class TestBuildArmGraphs:
         path = tmp_path / "saved_graph.txt"
         save_edge_list(graph, path)
         (loaded,) = build_one(dataset, (str(path),))
-        np.testing.assert_array_equal(loaded.edges, graph.edges)
+        np.testing.assert_array_equal(loaded.edges.toarray(), graph.edges.toarray())
 
     def test_graph_file_size_mismatch(self, dataset, tmp_path):
         path = tmp_path / "tiny.txt"
@@ -137,7 +137,7 @@ class TestBuildArmGraphs:
         for i, k, arm, reference in ((0, 1, control, control.graphs[0]), (2, 0, swapped, swapped.graphs[1])):
             seed = np.random.SeedSequence((11, 7919, i, k)).generate_state(1)[0]
             expected = random_graph(dataset.n_subjects, reference.density, seed=int(seed))
-            np.testing.assert_array_equal(arm.graphs[k].edges, expected.edges)
+            np.testing.assert_array_equal(arm.graphs[k].edges.toarray(), expected.edges.toarray())
             np.testing.assert_array_equal(arm.graphs[k].weights.to_dense(), expected.weights.to_dense())
 
 

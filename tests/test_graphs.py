@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from oracles import power_iteration_radius
 
 import pgcn.graphs
@@ -118,6 +119,12 @@ class TestSimilarityMatrix:
         assert sim[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert sim[0, 2] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("metric", ["pearson", "cosine"])
+    def test_one_subject(self, metric):
+        sim = similarity_matrix(np.array([[1.0, 2.0, 4.0]]), metric=metric)
+        assert sim.dtype == np.float64
+        np.testing.assert_array_equal(sim, [[1.0]])
+
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             similarity_matrix(np.ones((2, 3)), metric="manhattan")
@@ -225,12 +232,12 @@ class TestRandomGraph:
     def test_deterministic(self):
         g1 = random_graph(20, 0.3, seed=99)
         g2 = random_graph(20, 0.3, seed=99)
-        np.testing.assert_array_equal(g1.edges, g2.edges)
+        np.testing.assert_array_equal(g1.edges.toarray(), g2.edges.toarray())
         np.testing.assert_array_equal(g1.normalized.data, g2.normalized.data)
 
     def test_full_density(self):
         g = random_graph(6, 1.0, seed=1)
-        np.testing.assert_array_equal(g.edges, ~np.eye(6, dtype=bool))
+        np.testing.assert_array_equal(g.edges.toarray(), ~np.eye(6, dtype=bool))
 
     def test_edge_count_within_3_sigma(self):
         n, density = 100, 0.1
@@ -247,31 +254,37 @@ class TestRandomGraph:
             random_graph(10, 1.5, seed=0)
 
 
+def built_random_and_reloaded(tmp_path):
+    """A built graph whose anti-correlated pairs keep zero-weight edges, a random graph, and a reload."""
+    col = MetaColumn("g", "categorical", ["a", "b", "a", "b", "a", "a"])
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    built = build_graph(col, x)
+    path = tmp_path / "g.txt"
+    save_edge_list(built, path)
+    return built, random_graph(6, 0.5, seed=0), load_edge_list(path)
+
+
 class TestAffinityGraphEdges:
     def test_edges_are_read_only(self, tmp_path):
-        col = MetaColumn("g", "categorical", ["a", "b", "a", "b"])
-        x = np.random.default_rng(0).normal(size=(4, 3))
-        built = build_graph(col, x)
-        path = tmp_path / "g.txt"
-        save_edge_list(built, path)
-        for graph in (built, random_graph(6, 0.5, seed=0), load_edge_list(path)):
-            assert not graph.edges.flags.writeable
+        for graph in built_random_and_reloaded(tmp_path):
+            pattern = graph.edges
+            assert not any(a.flags.writeable for a in (pattern.data, pattern.indices, pattern.indptr))
+            i, j = pattern.nonzero()
             with pytest.raises(ValueError):
-                graph.edges[0, 1] = True
+                pattern[i[0], j[0]] = False
 
-    def test_writes_to_the_callers_array_do_not_reach_the_graph(self):
-        edges = np.zeros((3, 3), dtype=bool)
-        edges[0, 1] = edges[1, 0] = True
-        weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
-        graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
-        edges[1, 2] = edges[2, 1] = True
-        assert graph.edge_count == 1
+    def test_edge_sum_counts_zero_weight_edges(self, tmp_path):
+        built, random, reloaded = built_random_and_reloaded(tmp_path)
+        assert np.count_nonzero(built.weights.data == 0.0) > 0
+        for graph in (built, random, reloaded):
+            assert graph.edges.sum() == 2 * graph.edge_count == graph.weights.nnz
+        assert_same_csr(reloaded.weights, built.weights)
 
-    def test_load_edge_list_holds_one_adjacency(self, tmp_path):
+    def test_load_edge_list_allocates_no_adjacency(self, tmp_path):
         n = 2000
         path = tmp_path / "g.txt"
         path.write_text(f"n {n}\n0 1 0.5\n")
-        assert traced_peak(lambda: load_edge_list(path)) < 1.5 * n * n  # the bool adjacency is n^2 bytes
+        assert traced_peak(lambda: load_edge_list(path)) < n * n // 8  # a bool adjacency would be n^2 bytes
 
 
 class TestPermutationEquivariance:
@@ -305,7 +318,7 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "graph.txt"
         save_edge_list(graph, path)
         loaded = load_edge_list(path)
-        np.testing.assert_array_equal(loaded.edges, graph.edges)
+        np.testing.assert_array_equal(loaded.edges.toarray(), graph.edges.toarray())
         np.testing.assert_array_equal(loaded.weights.to_dense(), graph.weights.to_dense())
         np.testing.assert_array_equal(loaded.normalized.data, graph.normalized.data)
 
@@ -313,15 +326,23 @@ class TestEdgeListRoundTrip:
         sim = np.array([[1.0, -0.4, 0.6], [-0.4, 1.0, 0.2], [0.6, 0.2, 1.0]])
         edges = ~np.eye(3, dtype=bool)
         graph_w = build_affinity(sim, edges)
-        g = AffinityGraph(edges=edges, weights=graph_w, normalized=normalize(graph_w), source="toy")
+        g = AffinityGraph(weights=graph_w, normalized=normalize(graph_w), source="toy")
         path = tmp_path / "clamped.txt"
         save_edge_list(g, path)
         text = path.read_text()
         assert text.splitlines()[0] == "n 3"
         assert len(text.splitlines()) == 4  # header + 3 edges, incl. the clamped one
         loaded = load_edge_list(path)
-        np.testing.assert_array_equal(loaded.edges, edges)
+        np.testing.assert_array_equal(loaded.edges.toarray(), edges)
         assert loaded.weights.to_dense()[0, 1] == 0.0
+
+    def test_negative_zero_weight_is_stored_and_written_as_zero(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 3\n0 1 -0\n1 2 0.5\n")
+        graph = load_edge_list(path)
+        assert graph.edge_count == 2 and graph.edges.sum() == 4
+        save_edge_list(graph, path)
+        assert path.read_text() == "n 3\n0 1 0\n1 2 0.5\n"
 
     def test_malformed_files(self, tmp_path):
         bad_header = tmp_path / "bad1.txt"
@@ -343,18 +364,23 @@ class TestEdgeListRoundTrip:
 def dense_reference_affinity(sim, edges):
     """The dense weighting ``build_affinity`` replaced, kept as its oracle."""
     w = np.maximum(np.where(edges, sim, 0.0), 0.0)
-    return SparseSymMatrix.from_dense(0.5 * (w + w.T))
+    return 0.5 * (w + w.T)
 
 
-def reference_edge_list_text(graph):
+def stored_on(edges, dense):
+    """``dense`` stored at exactly the entries of the boolean ``edges``, zeros included."""
+    pattern = scipy.sparse.csr_matrix(edges)
+    return SparseSymMatrix(len(edges), pattern.indptr, pattern.indices, dense[edges])
+
+
+def reference_edge_list_text(edges, dense):
     """The per-line writer ``save_edge_list`` replaced, kept as its oracle."""
-    dense = graph.weights.to_dense()
-    rows, cols = np.nonzero(np.triu(graph.edges, k=1))
-    return f"n {graph.n}\n" + "".join(f"{i} {j} {dense[i, j]:.17g}\n" for i, j in zip(rows.tolist(), cols.tolist()))
+    rows, cols = np.nonzero(np.triu(edges, k=1))
+    return f"n {len(edges)}\n" + "".join(f"{i} {j} {dense[i, j]:.17g}\n" for i, j in zip(rows.tolist(), cols.tolist()))
 
 
 def reference_loaded_weights(text):
-    """Dense build of an edge list's weights, one line at a time, as the old loader did."""
+    """Dense build of an edge list's edges and weights, one line at a time, as the old loader did."""
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     n = int(lines[0][1])
     edges, w = np.zeros((n, n), dtype=bool), np.zeros((n, n))
@@ -362,7 +388,7 @@ def reference_loaded_weights(text):
         i, j = int(i), int(j)
         edges[i, j] = edges[j, i] = True
         w[i, j] = w[j, i] = float(weight)
-    return edges, SparseSymMatrix.from_dense(w)
+    return edges, w
 
 
 def assert_same_csr(a, b):
@@ -388,25 +414,25 @@ class TestBulkPathsMatchDenseReference:
     def test_build_affinity_bytes(self, n, density):
         sim, edges = oracle_graph(n, density, seed=n)
         got, ref = build_affinity(sim, edges), dense_reference_affinity(sim, edges)
-        assert_same_csr(got, ref)
-        assert_same_csr(normalize(got), normalize(ref))
+        assert_same_csr(got, stored_on(edges, ref))
+        assert_same_csr(normalize(got), normalize(SparseSymMatrix.from_dense(ref)))
         if n > 3 and density > 0:
-            assert np.count_nonzero(edges) > got.nnz  # clamped-zero edges were dropped
+            assert np.count_nonzero(got.data == 0.0) > 0  # clamped-zero edges are stored zeros
 
     @pytest.mark.parametrize("n, density", [(2, 1.0), (3, 0.0), (50, 0.4), (400, 0.4), (60, 1.0)])
     def test_edge_list_bytes_and_reload(self, tmp_path, n, density):
         sim, edges = oracle_graph(n, density, seed=n + 1)
         weights = build_affinity(sim, edges)
-        graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
+        graph = AffinityGraph(weights=weights, normalized=normalize(weights), source="g")
         path = tmp_path / "g.txt"
         save_edge_list(graph, path)
         text = path.read_text()
-        assert text == reference_edge_list_text(graph)
+        assert text == reference_edge_list_text(edges, dense_reference_affinity(sim, edges))
         loaded = load_edge_list(path)
         ref_edges, ref_weights = reference_loaded_weights(text)
-        np.testing.assert_array_equal(loaded.edges, ref_edges)
-        assert_same_csr(loaded.weights, ref_weights)
-        assert_same_csr(loaded.normalized, normalize(ref_weights))
+        np.testing.assert_array_equal(loaded.edges.toarray(), ref_edges)
+        assert_same_csr(loaded.weights, stored_on(ref_edges, ref_weights))
+        assert_same_csr(loaded.normalized, normalize(SparseSymMatrix.from_dense(ref_weights)))
         save_edge_list(loaded, path)
         assert path.read_text() == text
 
@@ -415,7 +441,7 @@ class TestBulkPathsMatchDenseReference:
         edges = np.zeros((n, n), dtype=bool)
         edges[0, 1:4] = edges[1:4, 0] = True
         weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
-        graph = AffinityGraph(edges=edges, weights=weights, normalized=normalize(weights), source="g")
+        graph = AffinityGraph(weights=weights, normalized=normalize(weights), source="g")
         path = tmp_path / "g.txt"
         for step in (lambda: save_edge_list(graph, path), lambda: load_edge_list(path)):
             assert traced_peak(step) < 8 * n * n // 2  # an N x N float64 array would be 8 n^2 bytes

@@ -177,6 +177,18 @@ class TestSparseSymMatrix:
         data[0] = 5.0
         np.testing.assert_array_equal(s.data, [1.0, 1.0])
 
+    def test_copies_and_freezes_every_array_it_is_given(self):
+        indptr, indices, data = np.array([0, 1, 2]), np.array([1, 0]), np.array([0.0, 0.0])
+        s = SparseSymMatrix(2, indptr, indices, data)
+        for given, held in ((indptr, s.indptr), (indices, s.indices), (data, s.data)):
+            assert given.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(given, held)
+        indptr[1], indices[0], data[:] = 2, 0, 7.0
+        assert s.nnz == 2  # stored zeros stay entries
+        np.testing.assert_array_equal(s.indptr, [0, 1, 2])
+        np.testing.assert_array_equal(s.indices, [1, 0])
+        np.testing.assert_array_equal(s.data, [0.0, 0.0])
+
     def test_immutability(self):
         s = SparseSymMatrix.identity(3)
         with pytest.raises(ValueError):
