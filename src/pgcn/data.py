@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParameterError
+from .errors import ConfigError, DataError, ParameterError, read_text
 from .graphs import CATEGORICAL, CONTINUOUS, MetaColumn
 
 __all__ = ["Dataset", "synth_generate", "load_dataset", "write_dataset"]
@@ -134,12 +134,8 @@ def synth_generate(n, d, seed, informative_strength=1.0, noise=1.0):
 
 def _read_rows(path):
     """``(file line, cells)`` for each non-blank line; file lines count from 1."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return [(lineno, line.rstrip("\r\n").split(","))
-                    for lineno, line in enumerate(fh, start=1) if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path, "utf-8", DataError).split("\n")
+    return [(lineno, line.split(",")) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _number(cell, path, lineno, column):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .crossval import Arm, cross_validate
-from .errors import ConfigError, DataError, ParameterError
+from .errors import ConfigError, DataError, ParameterError, read_text
 from .graphs import CONTINUOUS, build_graph, load_edge_list, random_graph
 from .training import TrainConfig, TrainHistory
 
@@ -127,10 +127,7 @@ def _read_config(path, extra_keys):
     :class:`ExperimentConfig`'s field names.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        payload = json.loads(read_text(path, "utf-8", ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

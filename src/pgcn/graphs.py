@@ -10,13 +10,14 @@ is the symmetrically normalized weight matrix with self-loops,
 """
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, read_text
 from .linalg import SparseSymMatrix, as_dense
 
 __all__ = [
@@ -250,8 +251,7 @@ def load_edge_list(path, source=None):
     """
     if source is None:
         source = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path, "ascii", DataError).split("\n")
     start = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
     header = lines[start].strip() if start < len(lines) else ""
     if not header.startswith("n "):
@@ -278,67 +278,49 @@ def _parse_edges(path, first_line, body, n):
     """Parse the ``i j weight`` lines of an edge list into ``i``, ``j`` and ``weight`` arrays.
 
     ``body[k]`` is line ``first_line + k`` of the file; blank lines are
-    skipped.  A line is checked for its field count, then parsed, then
-    checked for ``0 <= i < j < n``, a finite nonnegative weight, and an
-    edge listed before it.  The first faulty line raises DataError.  Each
-    check looks only at the lines before the earliest fault found so far,
-    so the last fault found is the first in the file.
+    skipped.  Every line is checked at once: three fields, tokens that
+    parse, ``0 <= i < j < n``, finite nonnegative weights and no edge
+    listed twice.  A file that fails any check goes to :func:`_first_fault`.
     """
-    fault = None
     counts = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
-    wrong = np.flatnonzero((counts != 3) & (counts != 0))
-    if wrong.size:
-        k = int(wrong[0])
-        fault = (k, f"expected 'i j weight', got {body[k].strip()!r}")
-        body, counts = body[:k], counts[:k]
-    line_of = np.flatnonzero(counts)  # index in body of each edge
-    tokens = " ".join(body).split()
-    try:
-        i, j, weight = _edge_arrays(tokens)
-    except (ValueError, OverflowError):
-        m, message = _first_unparsed(tokens, n, lambda r: body[line_of[r]].strip())
-        fault = (int(line_of[m]), message)
-        i, j, weight = _edge_arrays(tokens[:3 * m])
-    m = len(i)
-    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
-    if bad.size:
-        m = int(bad[0])
-        fault = (int(line_of[m]), f"edge ({i[m]}, {j[m]}) out of range for n={n}")
-    bad = np.flatnonzero(~(np.isfinite(weight[:m]) & (weight[:m] >= 0)))
-    if bad.size:
-        m = int(bad[0])
-        fault = (int(line_of[m]), f"invalid weight {tokens[3 * m + 2]}")
-    keys = i[:m] * n + j[:m]
-    order = np.argsort(keys, kind="stable")
-    bad = order[1:][keys[order[1:]] == keys[order[:-1]]]  # a later copy of an earlier key
-    if bad.size:
-        m = int(bad.min())
-        fault = (int(line_of[m]), f"duplicate edge ({i[m]}, {j[m]})")
-    if fault is not None:
-        k, message = fault
-        raise DataError(f"{path}:{first_line + k}: {message}")
-    return i, j, weight
-
-
-def _edge_arrays(tokens):
-    """``i``, ``j`` and ``weight`` arrays from a flat ``i j weight ...`` token list.
-
-    numpy parses each token as ``int`` and ``float`` do; a token they
-    reject raises ValueError, and an index beyond int64 OverflowError.
-    """
-    return (np.array(tokens[0::3], dtype=np.int64), np.array(tokens[1::3], dtype=np.int64),
-            np.array(tokens[2::3], dtype=np.float64))
-
-
-def _first_unparsed(tokens, n, line):
-    """The first edge whose tokens ``_edge_arrays`` rejects, and its message."""
-    limit = np.iinfo(np.int64)
-    for r in range(len(tokens) // 3):
+    if np.all((counts == 3) | (counts == 0)):  # before the parse, so no line's tokens shift into another's
+        tokens = " ".join(body).split()
         try:
-            i, j = int(tokens[3 * r]), int(tokens[3 * r + 1])
-            float(tokens[3 * r + 2])
+            i, j = np.array(tokens[0::3], dtype=np.int64), np.array(tokens[1::3], dtype=np.int64)
+            weight = np.array(tokens[2::3], dtype=np.float64)
+        except (ValueError, OverflowError):  # numpy parses as int and float do, and rejects beyond int64
+            pass
+        else:
+            if np.all((0 <= i) & (i < j) & (j < n)) and np.all(np.isfinite(weight) & (weight >= 0)):
+                keys = np.sort(i * n + j, kind="stable")  # linear on the sorted keys save_edge_list writes
+                if not np.any(keys[1:] == keys[:-1]):
+                    return i, j, weight
+    _first_fault(path, first_line, body, n)
+
+
+def _first_fault(path, first_line, body, n):
+    """Raise the DataError of the first faulty line of an edge list that :func:`_parse_edges` rejected.
+
+    Each line is checked in turn for its field count, then parsed with
+    ``int`` and ``float``, then checked for ``0 <= i < j < n``, a finite
+    nonnegative weight, and an edge listed before it.
+    """
+    seen = set()
+    for lineno, line in enumerate(body, start=first_line):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'i j weight', got {line.strip()!r}")
+        try:
+            i, j, weight = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
-            return r, f"unparseable edge {line(r)!r}"
-        if not (limit.min <= i <= limit.max and limit.min <= j <= limit.max):
-            return r, f"edge ({i}, {j}) out of range for n={n}"
-    raise AssertionError("every edge parsed")
+            raise DataError(f"{path}:{lineno}: unparseable edge {line.strip()!r}") from None
+        if not 0 <= i < j < n:
+            raise DataError(f"{path}:{lineno}: edge ({i}, {j}) out of range for n={n}")
+        if not 0 <= weight < math.inf:
+            raise DataError(f"{path}:{lineno}: invalid weight {fields[2]}")
+        if (i, j) in seen:
+            raise DataError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    raise AssertionError("the bulk parse rejected an edge list with no faulty line")

@@ -76,30 +76,28 @@ class SparseSymMatrix:
 
     __slots__ = ("dim", "_csr")
 
-    def __init__(self, dim, indptr, indices, data, validate=True):
+    def __init__(self, dim, indptr, indices, data):
         self.dim = int(dim)
         indptr, indices = np.asarray(indptr), np.asarray(indices)
         data = np.asarray(data, dtype=np.float64)
-        if validate:
-            _validate_structure(self.dim, indptr, indices, data)
+        _validate_structure(self.dim, indptr, indices, data)
         self._csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim), copy=True)
-        if validate:
-            _validate_symmetry(self._csr)
+        _validate_symmetry(self._csr)
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
 
     @classmethod
-    def from_dense(cls, a, validate=True):
+    def from_dense(cls, a):
         """Build from a dense symmetric array, keeping exact nonzeros."""
         a = as_dense(a)
         if a.shape[0] != a.shape[1]:
             raise ShapeError(f"expected a square matrix, got {a.shape}")
         csr = scipy.sparse.csr_matrix(a)
-        return cls(a.shape[0], csr.indptr, csr.indices, csr.data, validate=validate)
+        return cls(a.shape[0], csr.indptr, csr.indices, csr.data)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, np.arange(n + 1), np.arange(n), np.ones(n), validate=False)
+        return cls(n, np.arange(n + 1), np.arange(n), np.ones(n))
 
     @property
     def indptr(self):

@@ -9,13 +9,14 @@ validation loss and the best snapshot is returned.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConsistencyError, DataError, ParameterError
-from .graphs import AffinityGraph
+from .errors import ConsistencyError, DataError, ParameterError, read_text
+from .graphs import AffinityGraph, _physical_memory_bytes
 from .linalg import as_dense
 from .model import ModelParams, backward, forward, init_params
 from .stats import accuracy, stratified_mc_split
@@ -116,33 +117,33 @@ class TrainHistory:
 
     @classmethod
     def from_csv(cls, path):
+        reader = csv.reader(io.StringIO(read_text(path, "ascii", DataError)))
         try:
-            with open(path, "r", encoding="ascii", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None or header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
-                    raise DataError(f"{path}: not a training-history file")
-                n_omega = len(header) - 4
-                if n_omega < 1 or header[4:] != [f"omega_{i + 1}" for i in range(n_omega)]:
-                    raise DataError(f"{path}: malformed omega columns")
-                records = []
-                for lineno, row in enumerate(reader, start=2):
-                    if len(row) != len(header):
-                        raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
-                    try:
-                        records.append(
-                            EpochRecord(
-                                epoch=int(row[0]),
-                                train_loss=float(row[1]),
-                                val_loss=float(row[2]),
-                                val_acc=float(row[3]),
-                                omega=tuple(float(c) for c in row[4:]),
-                            )
-                        )
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: unparseable value") from exc
-        except OSError as exc:
-            raise DataError(f"cannot read history file {path}: {exc}") from exc
+            rows = list(reader)
+        except csv.Error as exc:  # a cell beyond the csv module's field size limit
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+        header = rows[0] if rows else None
+        if header is None or header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
+            raise DataError(f"{path}: not a training-history file")
+        n_omega = len(header) - 4
+        if n_omega < 1 or header[4:] != [f"omega_{i + 1}" for i in range(n_omega)]:
+            raise DataError(f"{path}: malformed omega columns")
+        records = []
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
+            try:
+                records.append(
+                    EpochRecord(
+                        epoch=int(row[0]),
+                        train_loss=float(row[1]),
+                        val_loss=float(row[2]),
+                        val_acc=float(row[3]),
+                        omega=tuple(float(c) for c in row[4:]),
+                    )
+                )
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: unparseable value") from exc
         if not records:
             raise DataError(f"{path}: history has no epochs")
         return cls(records=records)
@@ -256,7 +257,12 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
             raise ConsistencyError("initial_params do not fit this dataset/graph combination")
         params = initial_params.copy()
     else:
-        params = init_params(x.shape[1], config.hidden_width, y.shape[1], len(ops), seed=config.seed)
+        (n, d), h = x.shape, config.hidden_width
+        memory = _physical_memory_bytes()
+        if memory is not None and (n + d) * h * 8 > memory:  # one n x h hidden layer and the d x h weights
+            raise ParameterError(f"hidden_width={h} needs {(n + d) * h * 8} bytes for one branch's first layer, "
+                                 f"more than the {memory} bytes of physical memory")
+        params = init_params(d, h, y.shape[1], len(ops), seed=config.seed)
     if fixed_omega is not None:
         fixed_omega = np.asarray(fixed_omega, dtype=np.float64)
         if fixed_omega.shape != (len(ops),):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -215,7 +216,7 @@ def test_class_index_beyond_subjects_is_data_error(synth_dir, tmp_path, capsys):
 
 
 EDGE_LIST_FAULTS = ("truncated-line", "swapped-tokens", "huge-index", "negative-index", "huge-header",
-                    "nan-weight", "duplicate-line", "empty-file")
+                    "nan-weight", "duplicate-line", "empty-file", "non-ascii-byte")
 
 
 def mutate_edge_list(text, kind, rng):
@@ -240,6 +241,9 @@ def mutate_edge_list(text, kind, rng):
         lines.insert(int(rng.integers(1, len(lines) + 1)), lines[k])
     elif kind == "empty-file":
         return ""
+    elif kind == "non-ascii-byte":
+        cut = int(rng.integers(len(lines[k]) + 1))
+        lines[k] = lines[k][:cut] + "\u00e9" + lines[k][cut:]
     if kind in ("swapped-tokens", "huge-index", "negative-index", "nan-weight"):
         lines[k] = " ".join(tokens)
     return "\n".join(lines) + "\n"
@@ -303,3 +307,139 @@ def test_cli_import_does_not_load_scipy_stats():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def write_with_byte(path, source, line, byte):
+    """Copy ``source`` to ``path`` with ``byte`` inserted at the start of 0-based ``line``."""
+    lines = source.read_bytes().split(b"\n")
+    lines[line] = byte + lines[line]
+    path.write_bytes(b"\n".join(lines))
+
+
+def one_error_line(capsys, code, prefix):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", ["features.csv", "meta.csv", "labels.csv"])
+def test_non_utf8_byte_in_dataset_csv_is_data_error(synth_dir, tmp_path, capsys, name):
+    write_with_byte(synth_dir / f"bad_{name}", synth_dir / name, 3, b"\xff")
+    args = dataset_args(synth_dir)
+    args[args.index(str(synth_dir / name))] = str(synth_dir / f"bad_{name}")
+    code = main(["build-graph", *args, "--element", "informative", "--out-dir", str(tmp_path / "out")])
+    one_error_line(capsys, code, f"error:data: {synth_dir / f'bad_{name}'}:4: byte 0xff is not utf-8")
+
+
+def test_non_ascii_byte_in_edge_list_is_data_error(synth_dir, tmp_path, capsys):
+    assert main(["build-graph", *dataset_args(synth_dir), "--element", "informative",
+                 "--out-dir", str(tmp_path)]) == 0
+    bad = tmp_path / "bad.txt"
+    write_with_byte(bad, tmp_path / "graph_informative.txt", 2, b"\xc3\xa9")
+    capsys.readouterr()
+    code = main(["train", *dataset_args(synth_dir), "--graphs", str(bad), "--out-dir", str(tmp_path / "out")])
+    one_error_line(capsys, code, f"error:data: {bad}:3: byte 0xc3 is not ascii")
+
+
+def test_edge_list_source_that_is_a_directory_is_data_error(synth_dir, tmp_path, capsys):
+    code = main(["train", *dataset_args(synth_dir), "--graphs", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    one_error_line(capsys, code, f"error:data: cannot read {tmp_path}:")
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_non_utf8_byte_in_config_is_config_error(synth_dir, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"train": {"max_epochs": 2},\n "metric": "pear\xffson"}')
+    extra = ["--graphs", "informative"] if command == "train" else []
+    code = main([command, *dataset_args(synth_dir), *extra, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    one_error_line(capsys, code, f"error:config: {cfg}:2: byte 0xff is not utf-8")
+
+
+@pytest.mark.parametrize("fault, message", [(b"\xe9", ":3: byte 0xe9 is not ascii"),
+                                            (b"1" * 200000, ":3: field larger than field limit")],
+                         ids=["non-ascii-byte", "oversized-cell"])
+def test_unreadable_history_is_data_error(synth_dir, tmp_path, capsys, fault, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"max_epochs": 3, "hidden_width": 4}}))
+    assert main(["train", *dataset_args(synth_dir), "--graphs", "informative", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 0
+    bad = tmp_path / "bad.csv"
+    write_with_byte(bad, tmp_path / "history.csv", 2, fault)
+    capsys.readouterr()
+    one_error_line(capsys, main(["rank-report", str(bad)]), f"error:data: {bad}{message}")
+
+
+def test_hidden_width_beyond_memory_is_parameter_error(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"hidden_width": 10 ** 30}}))
+    code = main(["train", *dataset_args(synth_dir), "--graphs", "informative", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")])
+    one_error_line(capsys, code, "error:parameter: hidden_width=1000000000000000000000000000000 needs")
+
+
+INPUT_FAULTS = ("truncated-line", "swapped-cell", "huge-number", "negative-number", "nan", "duplicate-line",
+                "empty-file", "non-utf8-byte")
+FUZZ_CONFIG = {"train": {"max_epochs": 2, "hidden_width": 4, "learning_rate": 0.01, "dropout_p": 0.3,
+                         "early_stop_patience": 5, "omega_warmup_epochs": 1, "seed": 3},
+               "omega": [0.5, 0.5], "metric": "pearson"}
+NUMBER = re.compile(rb"-?[0-9][0-9.e+-]*")
+
+
+def mutate_input_file(data, kind, rng, separator):
+    """``data`` with one fault of ``kind`` on a line that ``rng`` picks.
+
+    A cell is a ``separator``-delimited part of a line.  In a config file
+    (``separator`` ``b": "``) a number fault replaces one number token, and
+    a huge number goes only into ``hidden_width``.
+    """
+    lines = data.split(b"\n")[:-1]
+    k = int(rng.integers(len(lines)))
+    cells = lines[k].split(separator)
+    numbers = list(NUMBER.finditer(lines[k]))
+    if kind == "truncated-line":
+        lines[k] = lines[k][:int(rng.integers(len(lines[k]) + 1))]
+    elif kind == "swapped-cell" and len(cells) > 1:
+        a, b = rng.choice(len(cells), size=2, replace=False)
+        cells[a], cells[b] = cells[b], cells[a]
+        lines[k] = separator.join(cells)
+    elif kind in ("huge-number", "negative-number", "nan") and separator == b",":
+        cells[int(rng.integers(len(cells)))] = {"huge-number": b"1" + b"0" * int(rng.integers(2, 400)),
+                                                "negative-number": b"-%d" % rng.integers(1, 100),
+                                                "nan": b"nan"}[kind]
+        lines[k] = separator.join(cells)
+    elif kind == "huge-number":
+        lines = [b' "hidden_width": %d,' % 10 ** int(rng.integers(15, 40)) if b'"hidden_width"' in line else line
+                 for line in lines]
+    elif kind in ("negative-number", "nan") and numbers:
+        m = numbers[int(rng.integers(len(numbers)))]
+        lines[k] = lines[k][:m.start()] + (b"-" + m.group() if kind == "negative-number" else b"NaN") + lines[k][m.end():]
+    elif kind == "duplicate-line":
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[k])
+    elif kind == "empty-file":
+        return b""
+    elif kind == "non-utf8-byte":
+        cut = int(rng.integers(len(lines[k]) + 1))
+        lines[k] = lines[k][:cut] + b"\xff" + lines[k][cut:]
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("kind", INPUT_FAULTS)
+def test_seeded_dataset_and_config_faults_end_in_one_error_line(synth_dir, tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FUZZ_CONFIG, indent=1) + "\n")
+    targets = {name: synth_dir / name for name in ("features.csv", "meta.csv", "labels.csv")}
+    targets["cfg.json"] = cfg
+    rng = np.random.default_rng([12, INPUT_FAULTS.index(kind)])
+    for name, path in targets.items():
+        data = path.read_bytes()
+        for case in range(5):
+            mutant = tmp_path / f"mutant_{case}_{name}"
+            mutant.write_bytes(mutate_input_file(data, kind, rng, b": " if name == "cfg.json" else b","))
+            paths = {**targets, name: mutant}
+            code = main(["train", "--features", str(paths["features.csv"]), "--meta", str(paths["meta.csv"]),
+                         "--labels", str(paths["labels.csv"]), "--graphs", "informative,nuisance",
+                         "--config", str(paths["cfg.json"]), "--out-dir", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code != 0 or err:
+                assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (name, case, err)

@@ -513,3 +513,64 @@ class TestEdgeListFaults:
         path.write_text("n 10000000000\n")  # 1e20 bytes of adjacency: no allocation could succeed
         with pytest.raises(DataError, match=r"n=10000000000 needs"):
             load_edge_list(path)
+
+    def test_bulk_parse_accepts_exactly_the_files_without_a_faulty_line(self, monkeypatch):
+        class Rejected(Exception):
+            pass
+
+        def rejected(*args):
+            raise Rejected
+
+        first_fault = pgcn.graphs._first_fault
+        monkeypatch.setattr(pgcn.graphs, "_first_fault", rejected)
+        rng = np.random.default_rng(12)
+        accepted = 0
+        for _ in range(MUTANT_EDGE_BODIES):
+            n, body = mutant_edge_body(rng)
+            try:
+                first_fault("g.txt", 2, body, n)
+            except DataError:
+                faulty = True
+            except AssertionError:  # the line-by-line scan found no faulty line
+                faulty = False
+            try:
+                i, j, weight = pgcn.graphs._parse_edges("g.txt", 2, body, n)
+            except Rejected:
+                assert faulty, body  # so a rejected file never reaches the AssertionError
+                continue
+            assert not faulty, body
+            fields = [line.split() for line in body if line.split()]
+            assert i.tolist() == [int(f[0]) for f in fields] and j.tolist() == [int(f[1]) for f in fields]
+            assert weight.tobytes() == np.array([float(f[2]) for f in fields]).tobytes()
+            accepted += 1
+        assert 0.25 < accepted / MUTANT_EDGE_BODIES < 0.75  # both paths are exercised
+
+
+MUTANT_EDGE_BODIES = 2000
+# Tokens where numpy's string casts and int()/float() could part ways, plus plain faults.
+EDGE_TOKENS = ("1_0", "+.5", "1e400", "nan", "inf", "-0", "1.0", "0x1", "-1", "1e3",
+               "9223372036854775808", "99999999999999999999", "x")
+
+
+def mutant_edge_body(rng):
+    """``(n, lines)``: the body of a small valid edge list after up to three seeded mutations."""
+    n = int(rng.integers(2, 8))
+    lines = [f"{i} {j} {rng.random():.17g}" for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+    for _ in range(int(rng.integers(4))):
+        k = int(rng.integers(len(lines) + 1))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            lines.insert(k, " \t" * int(rng.integers(2)))
+        elif kind == 1:  # a stray line of one to four small integers
+            lines.insert(k, " ".join(str(v) for v in rng.integers(-1, n + 1, size=int(rng.integers(1, 5)))))
+        elif lines and kind == 2:
+            lines.insert(k, lines[int(rng.integers(len(lines)))])
+        elif lines and kind == 3:
+            k = min(k, len(lines) - 1)
+            lines[k] = lines[k][:int(rng.integers(len(lines[k]) + 1))]
+        elif lines:
+            k = min(k, len(lines) - 1)
+            tokens = lines[k].split() or ["0"]
+            tokens[int(rng.integers(len(tokens)))] = EDGE_TOKENS[int(rng.integers(len(EDGE_TOKENS)))]
+            lines[k] = " ".join(tokens)
+    return n, lines
