@@ -50,6 +50,7 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
+    propagate,
     rank_combine,
     save_checkpoint,
 )

@@ -150,18 +150,27 @@ def _parse_features(path):
     rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty feature file")
-    data = []
+    data, linenos = [], []
     for lineno, cells in rows:
         if data and len(cells) != len(data[0]):
             raise DataError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(cells)}")
         try:
             data.append([_number(cell, path, lineno, colno) for colno, cell in enumerate(cells, start=1)])
+            linenos.append(lineno)
         except DataError:
             if lineno != rows[0][0]:
                 raise  # a first row that is not all numbers is the header
     if not data:
         raise DataError(f"{path}: no feature rows")
-    return np.asarray(data, dtype=np.float64)
+    x = np.asarray(data, dtype=np.float64)
+    # similarity sums squares of (centered) rows, so a row whose sum of squares overflows cannot be weighted
+    with np.errstate(over="ignore"):
+        square_sums = np.sum(x * x, axis=1)
+    overflow = np.flatnonzero(np.isinf(square_sums))
+    if overflow.size:
+        raise DataError(f"{path}:{linenos[overflow[0]]}: feature values too large: the row's sum of squares "
+                        f"exceeds the float64 maximum {np.finfo(np.float64).max:.4g}")
+    return x
 
 
 def _parse_meta(path):

@@ -27,6 +27,7 @@ __all__ = [
     "BranchCache",
     "ForwardCache",
     "init_params",
+    "propagate",
     "branch_forward",
     "rank_combine",
     "forward",
@@ -103,7 +104,7 @@ class ModelParams:
 class BranchCache:
     """Intermediates of one branch, retained for the backward pass."""
 
-    propagated0: np.ndarray      # A_hat @ (X with the layer-1 dropout mask applied)
+    propagated0: np.ndarray      # A_hat @ (X with the layer-1 dropout mask applied); shared read-only without one
     preact: np.ndarray           # propagated0 @ theta0
     propagated1: np.ndarray      # A_hat @ (relu(preact) with the layer-2 dropout mask applied)
     logits: np.ndarray           # propagated1 @ theta1
@@ -141,11 +142,28 @@ def _dropout_mask(rng, shape, p):
     return keep / (1.0 - p)
 
 
-def branch_forward(x, a_hat, theta0, theta1, dropout=None):
+def propagate(x, graphs):
+    """``A_hat @ X`` for each operator, frozen read-only.
+
+    Neither factor changes within a run, so one product per branch serves
+    every pass that draws no layer-1 dropout mask (the precomputation of
+    SGC, Wu et al. 2019).
+    """
+    x = as_dense(x, "features")
+    products = [spmm(a_hat, x) for a_hat in graphs]
+    for product in products:
+        product.setflags(write=False)
+    return products
+
+
+def branch_forward(x, a_hat, theta0, theta1, dropout=None, propagated_x=None):
     """One branch: two graph convolutions over a single normalized operator.
 
     ``dropout`` is either None (evaluation) or a pair of pre-scaled masks
     applied to the inputs of layer 1 and layer 2 respectively.
+    ``propagated_x``, if given, is this branch's ``A_hat @ X`` from
+    :func:`propagate`; it stands in for that product whenever the layer-1
+    mask is absent, which keeps every output byte.
     """
     x = as_dense(x, "features")
     if not isinstance(a_hat, SparseSymMatrix):
@@ -156,9 +174,14 @@ def branch_forward(x, a_hat, theta0, theta1, dropout=None):
         raise ShapeError(f"features {x.shape} do not match layer-1 weights {theta0.shape}")
     if theta0.shape[1] != theta1.shape[0]:
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
+    if propagated_x is not None and np.shape(propagated_x) != x.shape:
+        raise ShapeError(f"propagated features {np.shape(propagated_x)} do not match features {x.shape}")
 
     mask0, mask1 = (None, None) if dropout is None else dropout
-    propagated0 = spmm(a_hat, x if mask0 is None else x * mask0)
+    if mask0 is None and propagated_x is not None:
+        propagated0 = propagated_x
+    else:
+        propagated0 = spmm(a_hat, x if mask0 is None else x * mask0)
     preact = propagated0 @ theta0
     hidden = relu(preact)
     propagated1 = spmm(a_hat, hidden if mask1 is None else hidden * mask1)
@@ -185,16 +208,23 @@ def rank_combine(branch_logits, omega):
     return fused, softmax_rows(fused)
 
 
-def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
+def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3, propagated_x=None):
     """Full model evaluation over all branches.
 
-    With ``dropout_seed=None`` the pass is deterministic (evaluation
-    mode); otherwise per-branch masks are drawn from a generator seeded
-    with ``dropout_seed`` and applied to each layer's input.
+    With ``dropout_seed=None`` (or ``dropout_p=0``) the pass is
+    deterministic (evaluation mode); otherwise per-branch masks are drawn
+    from a generator seeded with ``dropout_seed`` and applied to each
+    layer's input.  ``propagated_x``, the list :func:`propagate` returns
+    for these ``x`` and ``graphs``, saves one width-d product per branch
+    in a pass without dropout; the result is byte-identical either way.
     """
     x = as_dense(x, "features")
     if len(graphs) != params.n_branches:
         raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
+    if propagated_x is None:
+        propagated_x = [None] * len(graphs)
+    elif len(propagated_x) != len(graphs):
+        raise ShapeError(f"{len(propagated_x)} propagated feature sets for {len(graphs)} graphs")
     rng = None
     if dropout_seed is not None and dropout_p > 0.0:
         if not 0.0 <= dropout_p < 1.0:
@@ -210,7 +240,8 @@ def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
                 _dropout_mask(rng, x.shape, dropout_p),
                 _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p),
             )
-        cache, logits = branch_forward(x, graphs[m], params.theta0[m], params.theta1[m], dropout)
+        cache, logits = branch_forward(x, graphs[m], params.theta0[m], params.theta1[m], dropout,
+                                       propagated_x[m])
         branches.append(cache)
         branch_logits.append(logits)
     _, probs = rank_combine(branch_logits, params.omega)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConsistencyError, DataError, ParameterError, read_text
 from .graphs import AffinityGraph, _physical_memory_bytes
 from .linalg import as_dense
-from .model import ModelParams, backward, forward, init_params
+from .model import ModelParams, backward, forward, init_params, propagate
 from .stats import accuracy, stratified_mc_split
 
 __all__ = [
@@ -90,10 +90,16 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch trajectory of losses, accuracy, and ranking weights."""
+    """Per-epoch trajectory of losses, accuracy, and ranking weights.
+
+    ``stop_reason`` is ``"early_stop"`` when patience ended the run and
+    ``"max_epochs"`` when the epoch cap did; a history read back from CSV
+    has ``None``, since the file does not record it.
+    """
 
     records: list
     best_epoch: int | None = None
+    stop_reason: str | None = None
 
     def __len__(self):
         return len(self.records)
@@ -232,8 +238,13 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     ``initial_params`` overrides the seeded Glorot initialization, e.g.
     for warm starts; the object passed in is copied, never mutated.
 
+    ``A_hat @ X`` is computed once per branch and reused by every pass
+    without a layer-1 dropout mask: each epoch's evaluation forward, and
+    the training forward too when ``dropout_p`` is 0.
+
     Returns ``(params, history)`` where ``params`` is the snapshot with
-    the lowest validation loss and ``history`` records every epoch.
+    the lowest validation loss and ``history`` records every epoch and
+    why the run stopped.
     """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
@@ -269,18 +280,21 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
             raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
         params.omega = fixed_omega
 
+    propagated = propagate(x, ops)
     state = init_adam_state(params)
     best_params = params.copy()
     best_val = np.inf
     best_epoch = 0
     since_improvement = 0
+    stop_reason = "max_epochs"
     records = []
 
     for epoch in range(1, config.max_epochs + 1):
         dropout_seed = None
         if config.dropout_p > 0.0:
             dropout_seed = [config.seed & 0xFFFFFFFF, 101, epoch]
-        cache = forward(x, ops, params, dropout_seed=dropout_seed, dropout_p=config.dropout_p)
+        cache = forward(x, ops, params, dropout_seed=dropout_seed, dropout_p=config.dropout_p,
+                        propagated_x=propagated)
         train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
         grads = backward(cache, y, train_mask, params, config.l2_lambda)
         if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
@@ -295,7 +309,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
             eps=config.adam_eps,
             t=epoch,
         )
-        eval_cache = forward(x, ops, params)
+        eval_cache = forward(x, ops, params, propagated_x=propagated)
         val_loss = loss(eval_cache.probs, y, val_mask)
         val_acc = accuracy(eval_cache.probs, y, val_mask)
         records.append(
@@ -315,9 +329,10 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
         else:
             since_improvement += 1
             if since_improvement >= config.early_stop_patience:
+                stop_reason = "early_stop"
                 break
 
-    return best_params, TrainHistory(records=records, best_epoch=best_epoch)
+    return best_params, TrainHistory(records=records, best_epoch=best_epoch, stop_reason=stop_reason)
 
 
 def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=None):
@@ -325,18 +340,21 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
 
     Dropout is disabled so the objective is smooth in the parameters.
     Intended for small instances (a few hundred parameters); cost is two
-    full forward passes per parameter entry.
+    forward passes per parameter entry, each reusing ``A_hat @ X``
+    computed once per call, so a probe runs one width-h propagation per
+    branch.
     """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
     y = as_dense(dataset.Y, "labels")
     mask = np.asarray(dataset.labeled_mask if labeled_mask is None else labeled_mask, dtype=bool)
 
-    cache = forward(x, ops, params)
+    propagated = propagate(x, ops)
+    cache = forward(x, ops, params, propagated_x=propagated)
     analytic = backward(cache, y, mask, params, l2_lambda)
 
     def objective():
-        probe = forward(x, ops, params)
+        probe = forward(x, ops, params, propagated_x=propagated)
         return loss(probe.probs, y, mask, params, l2_lambda)
 
     worst = 0.0

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,18 @@ def test_non_utf8_byte_in_dataset_csv_is_data_error(synth_dir, tmp_path, capsys,
     args[args.index(str(synth_dir / name))] = str(synth_dir / f"bad_{name}")
     code = main(["build-graph", *args, "--element", "informative", "--out-dir", str(tmp_path / "out")])
     one_error_line(capsys, code, f"error:data: {synth_dir / f'bad_{name}'}:4: byte 0xff is not utf-8")
+
+
+def test_huge_feature_value_is_one_data_error(synth_dir, capsys):
+    lines = (synth_dir / "features.csv").read_text().splitlines()
+    lines[5] = ",".join(["1e200", *lines[5].split(",")[1:]])
+    (synth_dir / "huge.csv").write_text("\n".join(lines) + "\n")
+    args = dataset_args(synth_dir)
+    args[args.index(str(synth_dir / "features.csv"))] = str(synth_dir / "huge.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", *args, "--graphs", "informative,nuisance", "--out-dir", str(synth_dir / "out")])
+    one_error_line(capsys, code, f"error:data: {synth_dir / 'huge.csv'}:6: feature values too large")
 
 
 def test_non_ascii_byte_in_edge_list_is_data_error(synth_dir, tmp_path, capsys):

@@ -163,6 +163,16 @@ class TestLoadDataset:
             load_dataset(*paths)
         assert ":2" in str(exc.value) and "column 2" in str(exc.value)
 
+    def test_row_whose_sum_of_squares_overflows_names_its_line(self, tmp_path):
+        meta, labels = "subject_id,g:categorical\na,M\nb,F\n", "subject_id,label\na,0\nb,1\n"
+        paths = self.write(tmp_path, "f0,f1\n1.0,1e154\n3.0,4.0\n", meta, labels)
+        assert load_dataset(*paths).X[0, 1] == 1e154  # its square, 1e308, is below the float64 maximum
+        for features, line in (("1.0,2.0\n1e200,4.0\n", 2), ("f0,f1\n1e154,1e154\n3.0,4.0\n", 2),
+                               ("1.0,2.0\n3.0,1e400\n", 2)):
+            paths = self.write(tmp_path, features, meta, labels)
+            with pytest.raises(DataError, match=rf"x.csv:{line}: feature values too large"):
+                load_dataset(*paths)
+
     def test_join_mismatch_rejected(self, tmp_path):
         paths = self.write(
             tmp_path,

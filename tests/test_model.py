@@ -11,6 +11,7 @@ from pgcn.model import (
     forward,
     init_params,
     load_checkpoint,
+    propagate,
     rank_combine,
     save_checkpoint,
 )
@@ -271,6 +272,38 @@ class TestForward:
         x, graphs, params, _, _ = make_instance(13)
         with pytest.raises(ShapeError):
             forward(x, graphs[:1], params)
+
+
+class TestPropagatedFeatures:
+    CACHE_FIELDS = ("propagated0", "preact", "propagated1", "logits", "mask1")
+
+    @pytest.mark.parametrize("dropout_seed, dropout_p", [(None, 0.3), (5, 0.3), (5, 0.0)])
+    def test_cached_product_changes_no_byte(self, dropout_seed, dropout_p):
+        x, graphs, params, _, _ = make_instance(14)
+        plain = forward(x, graphs, params, dropout_seed=dropout_seed, dropout_p=dropout_p)
+        cached = forward(x, graphs, params, dropout_seed=dropout_seed, dropout_p=dropout_p,
+                         propagated_x=propagate(x, graphs))
+        assert np.array_equal(cached.probs, plain.probs)
+        for a, b in zip(cached.branches, plain.branches):
+            for name in self.CACHE_FIELDS:
+                left, right = getattr(a, name), getattr(b, name)
+                assert (left is None and right is None) or np.array_equal(left, right), name
+
+    def test_product_is_frozen(self):
+        x, graphs, _, _, _ = make_instance(15)
+        for a_hat, product in zip(graphs, propagate(x, graphs)):
+            assert not product.flags.writeable
+            np.testing.assert_allclose(product, a_hat.to_dense() @ x, rtol=1e-12, atol=1e-15)
+
+    def test_wrong_shape_rejected(self):
+        x, graphs, params, _, _ = make_instance(16)
+        propagated = propagate(x, graphs)
+        with pytest.raises(ShapeError, match="propagated features"):
+            branch_forward(x, graphs[0], params.theta0[0], params.theta1[0], propagated_x=propagated[0][:, :-1])
+        with pytest.raises(ShapeError, match="propagated features"):
+            forward(x, graphs, params, propagated_x=[p.T for p in propagated])
+        with pytest.raises(ShapeError, match="propagated feature sets"):
+            forward(x, graphs, params, propagated_x=propagated[:1])
 
 
 class TestBackward:

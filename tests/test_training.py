@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import pgcn.linalg
 import pgcn.training
 
 from pgcn.data import synth_generate
@@ -26,6 +29,23 @@ def planted_setup(n=60, d=8, seed=0, strength=2.0, noise=1.0):
     g_info = build_graph(informative, dataset.X)
     g_nui = build_graph(nuisance, dataset.X)
     return dataset, g_info, g_nui
+
+
+def count_spmm_calls(monkeypatch):
+    """Patch ``spmm`` under every name a ``pgcn`` module binds it to; returns the call counter."""
+    original = pgcn.linalg.spmm
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    bindings = [(module, attr) for name, module in list(sys.modules.items()) if name.split(".")[0] == "pgcn"
+                for attr, value in vars(module).items() if value is original]
+    assert {module.__name__ for module, _ in bindings} >= {"pgcn.linalg", "pgcn.model"}
+    for module, attr in bindings:
+        monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestLoss:
@@ -228,6 +248,29 @@ class TestTrain:
             assert abs(a.val_loss - b.val_loss) <= 1e-9
             assert a.val_acc == b.val_acc
 
+    @pytest.mark.parametrize("dropout_p, per_epoch", [(0.3, 4), (0.0, 3)])
+    def test_features_propagate_once_per_run(self, monkeypatch, dropout_p, per_epoch):
+        dataset, g_info, g_nui = planted_setup(seed=4)
+        epochs = 7
+        config = self.quick_config(max_epochs=epochs, early_stop_patience=epochs, dropout_p=dropout_p)
+        calls = count_spmm_calls(monkeypatch)
+        _, history = train(dataset, [g_info, g_nui], config)
+        assert len(history) == epochs
+        assert calls[0] == 2 * (per_epoch * epochs + 1)
+
+    def test_stop_reason_max_epochs(self):
+        dataset, g_info, _ = planted_setup(seed=1)
+        _, history = train(dataset, [g_info], self.quick_config(max_epochs=12, early_stop_patience=12))
+        assert len(history) == 12
+        assert history.stop_reason == "max_epochs"
+
+    def test_stop_reason_early_stop(self):
+        dataset, g_info, _ = planted_setup(seed=1)
+        _, history = train(dataset, [g_info], self.quick_config(max_epochs=300, early_stop_patience=3))
+        assert len(history) < 300
+        assert len(history) - history.best_epoch == 3
+        assert history.stop_reason == "early_stop"
+
     def test_no_graphs_rejected(self):
         dataset, _, _ = planted_setup(seed=7)
         with pytest.raises(ParameterError):
@@ -270,6 +313,13 @@ class TestGradCheck:
         dataset, graphs, params = self.small_instance(11)
         assert grad_check(dataset, graphs, params, l2_lambda=0.0) < 1e-5
 
+    def test_features_propagate_once_per_call(self, monkeypatch):
+        dataset, graphs, params = self.small_instance(10)
+        calls = count_spmm_calls(monkeypatch)
+        grad_check(dataset, graphs, params)
+        # propagate, the forward and backward of the analytic gradient, then one width-h product per probe
+        assert calls[0] == 2 * (3 + 2 * params.vector.size)
+
     def test_omega_entries_alone(self):
         from pgcn.model import backward, forward
         from pgcn.training import loss as loss_fn
@@ -302,6 +352,7 @@ class TestHistoryCsv:
         assert header == "epoch,train_loss,val_loss,val_acc,omega_1,omega_2"
         loaded = TrainHistory.from_csv(path)
         assert loaded.records == history.records
+        assert loaded.stop_reason is None
 
     def test_malformed_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
