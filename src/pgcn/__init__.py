@@ -50,7 +50,6 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
-    propagate,
     rank_combine,
     save_checkpoint,
 )

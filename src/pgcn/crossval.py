@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParameterError
-from .model import forward, propagate
+from .model import forward
 from .stats import accuracy, auc, paired_t_test
 from .training import as_operators, split_masks, train
 
@@ -155,7 +155,6 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     histories = {}
     for arm in arms:
         ops = as_operators(arm.graphs)
-        propagated = propagate(dataset.X, ops)
         accs = np.zeros(repeats)
         aucs = np.full(repeats, np.nan)
         for r, (train_mask, val_mask) in enumerate(splits):
@@ -168,7 +167,7 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
                 val_mask=val_mask,
                 fixed_omega=arm.fixed_omega,
             )
-            probs = forward(dataset.X, ops, params, propagated_x=propagated).probs
+            probs = forward(dataset.X, ops, params).probs
             accs[r] = accuracy(probs, dataset.Y, val_mask)
             if binary:
                 aucs[r] = auc(probs[val_mask, 1], dataset.labels()[val_mask])

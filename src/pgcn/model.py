@@ -3,10 +3,11 @@
 The model runs M branches over the same node features X, one branch per
 affinity graph.  Each branch is two graph-convolution layers
 
-    H1 = relu(A_hat @ X @ Theta0)        logits_m = A_hat @ H1 @ Theta1
+    H1 = relu(A_hat @ (X @ Theta0))      logits_m = A_hat @ (H1 @ Theta1)
 
-(no bias terms, no nonlinearity on the second layer).  A ranking layer
-fuses the branch logits with scalar weights,
+(no bias terms, no nonlinearity on the second layer), associated so that
+the operator multiplies h or K columns, never d.  A ranking layer fuses
+the branch logits with scalar weights,
 
     Z = sum_m omega_m * logits_m         Y_hat = softmax_rows(Z)
 
@@ -27,7 +28,6 @@ __all__ = [
     "BranchCache",
     "ForwardCache",
     "init_params",
-    "propagate",
     "branch_forward",
     "rank_combine",
     "forward",
@@ -104,10 +104,10 @@ class ModelParams:
 class BranchCache:
     """Intermediates of one branch, retained for the backward pass."""
 
-    propagated0: np.ndarray      # A_hat @ (X with the layer-1 dropout mask applied); shared read-only without one
-    preact: np.ndarray           # propagated0 @ theta0
-    propagated1: np.ndarray      # A_hat @ (relu(preact) with the layer-2 dropout mask applied)
-    logits: np.ndarray           # propagated1 @ theta1
+    dropped0: np.ndarray         # X with the layer-1 dropout mask applied; X itself without one
+    preact: np.ndarray           # A_hat @ (dropped0 @ theta0)
+    dropped1: np.ndarray         # relu(preact) with the layer-2 dropout mask applied
+    logits: np.ndarray           # A_hat @ (dropped1 @ theta1)
     mask1: np.ndarray | None     # the layer-2 dropout mask
 
 
@@ -142,28 +142,13 @@ def _dropout_mask(rng, shape, p):
     return keep / (1.0 - p)
 
 
-def propagate(x, graphs):
-    """``A_hat @ X`` for each operator, frozen read-only.
-
-    Neither factor changes within a run, so one product per branch serves
-    every pass that draws no layer-1 dropout mask (the precomputation of
-    SGC, Wu et al. 2019).
-    """
-    x = as_dense(x, "features")
-    products = [spmm(a_hat, x) for a_hat in graphs]
-    for product in products:
-        product.setflags(write=False)
-    return products
-
-
-def branch_forward(x, a_hat, theta0, theta1, dropout=None, propagated_x=None):
+def branch_forward(x, a_hat, theta0, theta1, dropout=None):
     """One branch: two graph convolutions over a single normalized operator.
 
     ``dropout`` is either None (evaluation) or a pair of pre-scaled masks
-    applied to the inputs of layer 1 and layer 2 respectively.
-    ``propagated_x``, if given, is this branch's ``A_hat @ X`` from
-    :func:`propagate`; it stands in for that product whenever the layer-1
-    mask is absent, which keeps every output byte.
+    applied to the inputs of layer 1 and layer 2 respectively.  Each layer
+    multiplies by its weights before it propagates, so the operator runs
+    over h columns in layer 1 and K in layer 2.
     """
     x = as_dense(x, "features")
     if not isinstance(a_hat, SparseSymMatrix):
@@ -174,20 +159,14 @@ def branch_forward(x, a_hat, theta0, theta1, dropout=None, propagated_x=None):
         raise ShapeError(f"features {x.shape} do not match layer-1 weights {theta0.shape}")
     if theta0.shape[1] != theta1.shape[0]:
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
-    if propagated_x is not None and np.shape(propagated_x) != x.shape:
-        raise ShapeError(f"propagated features {np.shape(propagated_x)} do not match features {x.shape}")
 
     mask0, mask1 = (None, None) if dropout is None else dropout
-    if mask0 is None and propagated_x is not None:
-        propagated0 = propagated_x
-    else:
-        propagated0 = spmm(a_hat, x if mask0 is None else x * mask0)
-    preact = propagated0 @ theta0
+    dropped0 = x if mask0 is None else x * mask0
+    preact = spmm(a_hat, dropped0 @ theta0)
     hidden = relu(preact)
-    propagated1 = spmm(a_hat, hidden if mask1 is None else hidden * mask1)
-    logits = propagated1 @ theta1
-    cache = BranchCache(propagated0=propagated0, preact=preact, propagated1=propagated1,
-                        logits=logits, mask1=mask1)
+    dropped1 = hidden if mask1 is None else hidden * mask1
+    logits = spmm(a_hat, dropped1 @ theta1)
+    cache = BranchCache(dropped0=dropped0, preact=preact, dropped1=dropped1, logits=logits, mask1=mask1)
     return cache, logits
 
 
@@ -208,23 +187,18 @@ def rank_combine(branch_logits, omega):
     return fused, softmax_rows(fused)
 
 
-def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3, propagated_x=None):
+def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
     """Full model evaluation over all branches.
 
     With ``dropout_seed=None`` (or ``dropout_p=0``) the pass is
     deterministic (evaluation mode); otherwise per-branch masks are drawn
     from a generator seeded with ``dropout_seed`` and applied to each
-    layer's input.  ``propagated_x``, the list :func:`propagate` returns
-    for these ``x`` and ``graphs``, saves one width-d product per branch
-    in a pass without dropout; the result is byte-identical either way.
+    layer's input.  Each branch runs two operator products, at widths h
+    and K.
     """
     x = as_dense(x, "features")
     if len(graphs) != params.n_branches:
         raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
-    if propagated_x is None:
-        propagated_x = [None] * len(graphs)
-    elif len(propagated_x) != len(graphs):
-        raise ShapeError(f"{len(propagated_x)} propagated feature sets for {len(graphs)} graphs")
     rng = None
     if dropout_seed is not None and dropout_p > 0.0:
         if not 0.0 <= dropout_p < 1.0:
@@ -240,8 +214,7 @@ def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3, propagated_x=No
                 _dropout_mask(rng, x.shape, dropout_p),
                 _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p),
             )
-        cache, logits = branch_forward(x, graphs[m], params.theta0[m], params.theta1[m], dropout,
-                                       propagated_x[m])
+        cache, logits = branch_forward(x, graphs[m], params.theta0[m], params.theta1[m], dropout)
         branches.append(cache)
         branch_logits.append(logits)
     _, probs = rank_combine(branch_logits, params.omega)
@@ -279,13 +252,13 @@ def backward(cache, y, labeled_mask, params, l2_lambda=0.0):
         a_hat = cache.graphs[m]
         grad_omega[m] = np.sum(grad_fused * br.logits)
 
-        grad_logits = params.omega[m] * grad_fused
-        g_t1 = br.propagated1.T @ grad_logits + 2.0 * l2_lambda * params.theta1[m]
-        grad_prop1 = grad_logits @ params.theta1[m].T
-        grad_dropped_hidden = spmm(a_hat, grad_prop1)  # A_hat is symmetric
+        # A_hat is symmetric, so each layer's propagation passes its gradient G back as A_hat @ G
+        grad_projected1 = spmm(a_hat, params.omega[m] * grad_fused)
+        g_t1 = br.dropped1.T @ grad_projected1 + 2.0 * l2_lambda * params.theta1[m]
+        grad_dropped_hidden = grad_projected1 @ params.theta1[m].T
         grad_hidden = grad_dropped_hidden if br.mask1 is None else grad_dropped_hidden * br.mask1
         grad_preact = grad_hidden * (br.preact > 0)
-        g_t0 = br.propagated0.T @ grad_preact + 2.0 * l2_lambda * params.theta0[m]
+        g_t0 = br.dropped0.T @ spmm(a_hat, grad_preact) + 2.0 * l2_lambda * params.theta0[m]
         grad_theta0.append(g_t0)
         grad_theta1.append(g_t1)
 

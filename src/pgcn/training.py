@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConsistencyError, DataError, ParameterError, read_text
 from .graphs import AffinityGraph, _physical_memory_bytes
 from .linalg import as_dense
-from .model import ModelParams, backward, forward, init_params, propagate
+from .model import ModelParams, backward, forward, init_params
 from .stats import accuracy, stratified_mc_split
 
 __all__ = [
@@ -238,9 +238,9 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     ``initial_params`` overrides the seeded Glorot initialization, e.g.
     for warm starts; the object passed in is copied, never mutated.
 
-    ``A_hat @ X`` is computed once per branch and reused by every pass
-    without a layer-1 dropout mask: each epoch's evaluation forward, and
-    the training forward too when ``dropout_p`` is 0.
+    A branch-epoch runs six operator products, dropout or not: two in the
+    training forward, two in the backward and two in the evaluation
+    forward, at widths h and K.
 
     Returns ``(params, history)`` where ``params`` is the snapshot with
     the lowest validation loss and ``history`` records every epoch and
@@ -280,7 +280,6 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
             raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
         params.omega = fixed_omega
 
-    propagated = propagate(x, ops)
     state = init_adam_state(params)
     best_params = params.copy()
     best_val = np.inf
@@ -293,8 +292,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
         dropout_seed = None
         if config.dropout_p > 0.0:
             dropout_seed = [config.seed & 0xFFFFFFFF, 101, epoch]
-        cache = forward(x, ops, params, dropout_seed=dropout_seed, dropout_p=config.dropout_p,
-                        propagated_x=propagated)
+        cache = forward(x, ops, params, dropout_seed=dropout_seed, dropout_p=config.dropout_p)
         train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
         grads = backward(cache, y, train_mask, params, config.l2_lambda)
         if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
@@ -309,7 +307,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
             eps=config.adam_eps,
             t=epoch,
         )
-        eval_cache = forward(x, ops, params, propagated_x=propagated)
+        eval_cache = forward(x, ops, params)
         val_loss = loss(eval_cache.probs, y, val_mask)
         val_acc = accuracy(eval_cache.probs, y, val_mask)
         records.append(
@@ -340,21 +338,19 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
 
     Dropout is disabled so the objective is smooth in the parameters.
     Intended for small instances (a few hundred parameters); cost is two
-    forward passes per parameter entry, each reusing ``A_hat @ X``
-    computed once per call, so a probe runs one width-h propagation per
-    branch.
+    forward passes per parameter entry, so a probe runs two operator
+    products per branch, at widths h and K.
     """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
     y = as_dense(dataset.Y, "labels")
     mask = np.asarray(dataset.labeled_mask if labeled_mask is None else labeled_mask, dtype=bool)
 
-    propagated = propagate(x, ops)
-    cache = forward(x, ops, params, propagated_x=propagated)
+    cache = forward(x, ops, params)
     analytic = backward(cache, y, mask, params, l2_lambda)
 
     def objective():
-        probe = forward(x, ops, params, propagated_x=propagated)
+        probe = forward(x, ops, params)
         return loss(probe.probs, y, mask, params, l2_lambda)
 
     worst = 0.0

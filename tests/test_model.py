@@ -11,10 +11,10 @@ from pgcn.model import (
     forward,
     init_params,
     load_checkpoint,
-    propagate,
     rank_combine,
     save_checkpoint,
 )
+from pgcn.training import loss
 
 
 def random_operator(n, rng, density=0.4):
@@ -29,9 +29,10 @@ def random_operator(n, rng, density=0.4):
 # ---------------------------------------------------------------------------
 
 
-def oracle_branch(a_dense, x, theta0, theta1):
-    h1 = np.maximum(a_dense @ x @ theta0, 0.0)
-    return a_dense @ h1 @ theta1
+def oracle_branch(a_dense, x, theta0, theta1, mask0=1.0, mask1=1.0):
+    """The layers as written, (A (X * M0)) Theta0: the model computes A ((X * M0) Theta0)."""
+    h1 = np.maximum(a_dense @ (x * mask0) @ theta0, 0.0)
+    return a_dense @ (h1 * mask1) @ theta1
 
 
 def oracle_loss(x, dense_ops, params, y, mask, lam):
@@ -168,15 +169,24 @@ class TestBranchForward:
         logits = branch_forward(x, a_hat, np.zeros((3, 4)), rng.normal(size=(4, 2)))[1]
         np.testing.assert_array_equal(logits, np.zeros((5, 2)))
 
-    def test_matches_straight_line_oracle(self):
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_dropout", "dropout"])
+    @pytest.mark.parametrize("d, h", [(4, 3), (3, 6)], ids=["hidden_narrower", "hidden_wider"])
+    def test_matches_straight_line_oracle(self, d, h, masked):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(7, 4))
+        x = rng.normal(size=(7, d))
         a_hat = random_operator(7, rng)
-        theta0 = rng.normal(size=(4, 3))
-        theta1 = rng.normal(size=(3, 2))
-        _, logits = branch_forward(x, a_hat, theta0, theta1)
-        expected = oracle_branch(a_hat.to_dense(), x, theta0, theta1)
+        theta0 = rng.normal(size=(d, h))
+        theta1 = rng.normal(size=(h, 2))
+        masks = ((rng.random((7, d)) >= 0.3) / 0.7, (rng.random((7, h)) >= 0.3) / 0.7) if masked else None
+        _, logits = branch_forward(x, a_hat, theta0, theta1, masks)
+        expected = oracle_branch(a_hat.to_dense(), x, theta0, theta1, *(masks or ()))
         assert np.max(np.abs(logits - expected)) <= 1e-12
+
+    def test_cache_keeps_unmasked_features_without_a_copy(self):
+        x, graphs, params, _, _ = make_instance(3)
+        cache, _ = branch_forward(x, graphs[0], params.theta0[0], params.theta1[0])
+        assert cache.dropped0 is x and cache.mask1 is None
+        np.testing.assert_array_equal(cache.dropped1, np.maximum(cache.preact, 0.0))
 
     def test_shape_errors(self):
         rng = np.random.default_rng(3)
@@ -274,38 +284,6 @@ class TestForward:
             forward(x, graphs[:1], params)
 
 
-class TestPropagatedFeatures:
-    CACHE_FIELDS = ("propagated0", "preact", "propagated1", "logits", "mask1")
-
-    @pytest.mark.parametrize("dropout_seed, dropout_p", [(None, 0.3), (5, 0.3), (5, 0.0)])
-    def test_cached_product_changes_no_byte(self, dropout_seed, dropout_p):
-        x, graphs, params, _, _ = make_instance(14)
-        plain = forward(x, graphs, params, dropout_seed=dropout_seed, dropout_p=dropout_p)
-        cached = forward(x, graphs, params, dropout_seed=dropout_seed, dropout_p=dropout_p,
-                         propagated_x=propagate(x, graphs))
-        assert np.array_equal(cached.probs, plain.probs)
-        for a, b in zip(cached.branches, plain.branches):
-            for name in self.CACHE_FIELDS:
-                left, right = getattr(a, name), getattr(b, name)
-                assert (left is None and right is None) or np.array_equal(left, right), name
-
-    def test_product_is_frozen(self):
-        x, graphs, _, _, _ = make_instance(15)
-        for a_hat, product in zip(graphs, propagate(x, graphs)):
-            assert not product.flags.writeable
-            np.testing.assert_allclose(product, a_hat.to_dense() @ x, rtol=1e-12, atol=1e-15)
-
-    def test_wrong_shape_rejected(self):
-        x, graphs, params, _, _ = make_instance(16)
-        propagated = propagate(x, graphs)
-        with pytest.raises(ShapeError, match="propagated features"):
-            branch_forward(x, graphs[0], params.theta0[0], params.theta1[0], propagated_x=propagated[0][:, :-1])
-        with pytest.raises(ShapeError, match="propagated features"):
-            forward(x, graphs, params, propagated_x=[p.T for p in propagated])
-        with pytest.raises(ShapeError, match="propagated feature sets"):
-            forward(x, graphs, params, propagated_x=propagated[:1])
-
-
 class TestBackward:
     def test_perfect_prediction_zeroes_omega_gradients(self):
         x, graphs, params, y, mask = make_instance(14)
@@ -335,6 +313,24 @@ class TestBackward:
         analytic = backward(cache, y, mask, params, l2_lambda=0.0)
         dense_ops = [g.to_dense() for g in graphs]
         numeric = finite_difference_grads(x, dense_ops, params, y, mask, lam=0.0)
+        assert max_relative_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("lam", [5e-4, 0.0])
+    def test_matches_finite_differences_with_dropout(self, lam):
+        x, graphs, params, y, mask = make_instance(20)
+        cache = forward(x, graphs, params, dropout_seed=7, dropout_p=0.3)
+        assert all(br.mask1 is not None for br in cache.branches)
+        analytic = backward(cache, y, mask, params, l2_lambda=lam)
+        numeric, eps = params.copy(), 1e-6
+        for idx in range(params.vector.size):
+            orig = params.vector[idx]
+            sides = []
+            for probe in (orig + eps, orig - eps):
+                params.vector[idx] = probe
+                probs = forward(x, graphs, params, dropout_seed=7, dropout_p=0.3).probs
+                sides.append(loss(probs, y, mask, params, lam))
+            params.vector[idx] = orig
+            numeric.vector[idx] = (sides[0] - sides[1]) / (2 * eps)
         assert max_relative_error(analytic, numeric) < 1e-5
 
     def test_returns_params_layout(self):

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import pgcn.linalg
 import pgcn.training
 
-from pgcn.data import synth_generate
+from pgcn.data import load_dataset, synth_generate, write_dataset
 from pgcn.errors import ConsistencyError, DataError, ParameterError
 from pgcn.graphs import build_graph
 from pgcn.model import ModelParams, init_params
@@ -248,15 +249,28 @@ class TestTrain:
             assert abs(a.val_loss - b.val_loss) <= 1e-9
             assert a.val_acc == b.val_acc
 
-    @pytest.mark.parametrize("dropout_p, per_epoch", [(0.3, 4), (0.0, 3)])
-    def test_features_propagate_once_per_run(self, monkeypatch, dropout_p, per_epoch):
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
+    def test_features_propagate_once_per_run(self, monkeypatch, dropout_p):
         dataset, g_info, g_nui = planted_setup(seed=4)
         epochs = 7
         config = self.quick_config(max_epochs=epochs, early_stop_patience=epochs, dropout_p=dropout_p)
         calls = count_spmm_calls(monkeypatch)
         _, history = train(dataset, [g_info, g_nui], config)
         assert len(history) == epochs
-        assert calls[0] == 2 * (per_epoch * epochs + 1)
+        # per branch-epoch: two products in each forward (train and eval) and two in the backward
+        assert calls[0] == 2 * 6 * epochs
+
+    def test_features_at_the_load_bound_train_to_a_finite_history(self, tmp_path):
+        dataset, informative, nuisance = synth_generate(60, 4, seed=0, informative_strength=2.0, noise=1.0)
+        fmax = np.finfo(np.float64).max
+        scale = np.sqrt(0.999 * fmax / np.max(np.sum(dataset.X * dataset.X, axis=1)))
+        huge = load_dataset(*write_dataset(replace(dataset, X=dataset.X * scale), tmp_path))
+        assert 0.99 * fmax < np.max(np.sum(huge.X * huge.X, axis=1)) < fmax  # just under the bound
+        graphs = [build_graph(col, huge.X) for col in (informative, nuisance)]
+        params, history = train(huge, graphs, self.quick_config())
+        assert np.all(np.isfinite(params.vector))
+        for r in history.records:
+            assert np.all(np.isfinite([r.train_loss, r.val_loss, r.val_acc, *r.omega])), r.epoch
 
     def test_stop_reason_max_epochs(self):
         dataset, g_info, _ = planted_setup(seed=1)
@@ -317,8 +331,9 @@ class TestGradCheck:
         dataset, graphs, params = self.small_instance(10)
         calls = count_spmm_calls(monkeypatch)
         grad_check(dataset, graphs, params)
-        # propagate, the forward and backward of the analytic gradient, then one width-h product per probe
-        assert calls[0] == 2 * (3 + 2 * params.vector.size)
+        # per branch: two products each in the forward and backward of the analytic gradient and in
+        # both probes of every parameter entry
+        assert calls[0] == 2 * (4 + 4 * params.vector.size)
 
     def test_omega_entries_alone(self):
         from pgcn.model import backward, forward
