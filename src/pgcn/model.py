@@ -31,7 +31,9 @@ __all__ = [
     "branch_forward",
     "rank_combine",
     "forward",
+    "forward_cohort",
     "backward",
+    "backward_cohort",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -142,15 +144,7 @@ def _dropout_mask(rng, shape, p):
     return keep / (1.0 - p)
 
 
-def branch_forward(x, a_hat, theta0, theta1, dropout=None):
-    """One branch: two graph convolutions over a single normalized operator.
-
-    ``dropout`` is either None (evaluation) or a pair of pre-scaled masks
-    applied to the inputs of layer 1 and layer 2 respectively.  Each layer
-    multiplies by its weights before it propagates, so the operator runs
-    over h columns in layer 1 and K in layer 2.
-    """
-    x = as_dense(x, "features")
+def _check_branch(x, a_hat, theta0, theta1):
     if not isinstance(a_hat, SparseSymMatrix):
         raise ShapeError("branch_forward expects a SparseSymMatrix operator")
     if a_hat.dim != x.shape[0]:
@@ -160,14 +154,48 @@ def branch_forward(x, a_hat, theta0, theta1, dropout=None):
     if theta0.shape[1] != theta1.shape[0]:
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
 
+
+def _spmm_side_by_side(a_hat, blocks):
+    """One operator product over the blocks laid side by side, split back into contiguous blocks.
+
+    A CSR product computes each output column from its own input column
+    alone, so every block comes back bitwise equal to ``spmm(a_hat, block)``.
+    """
+    if len(blocks) == 1:
+        return [spmm(a_hat, blocks[0])]
+    wide = spmm(a_hat, np.hstack(blocks))
+    bounds = np.cumsum([b.shape[1] for b in blocks[:-1]])
+    return [np.ascontiguousarray(part) for part in np.hsplit(wide, bounds)]
+
+
+def _branch_cohort(a_hat, dropped0, theta0, theta1, mask1):
+    """One branch for every member of a cohort; each argument but ``a_hat`` holds one entry per member.
+
+    Each layer runs one operator product over all members' columns.
+    """
+    preacts = _spmm_side_by_side(a_hat, [d @ t for d, t in zip(dropped0, theta0)])
+    dropped1 = []
+    for preact, mask in zip(preacts, mask1):
+        hidden = relu(preact)
+        dropped1.append(hidden if mask is None else hidden * mask)
+    logits = _spmm_side_by_side(a_hat, [d @ t for d, t in zip(dropped1, theta1)])
+    return [BranchCache(*fields) for fields in zip(dropped0, preacts, dropped1, logits, mask1)]
+
+
+def branch_forward(x, a_hat, theta0, theta1, dropout=None):
+    """One branch: two graph convolutions over a single normalized operator.
+
+    ``dropout`` is either None (evaluation) or a pair of pre-scaled masks
+    applied to the inputs of layer 1 and layer 2 respectively.  Each layer
+    multiplies by its weights before it propagates, so the operator runs
+    over h columns in layer 1 and K in layer 2.
+    """
+    x = as_dense(x, "features")
+    _check_branch(x, a_hat, theta0, theta1)
     mask0, mask1 = (None, None) if dropout is None else dropout
     dropped0 = x if mask0 is None else x * mask0
-    preact = spmm(a_hat, dropped0 @ theta0)
-    hidden = relu(preact)
-    dropped1 = hidden if mask1 is None else hidden * mask1
-    logits = spmm(a_hat, dropped1 @ theta1)
-    cache = BranchCache(dropped0=dropped0, preact=preact, dropped1=dropped1, logits=logits, mask1=mask1)
-    return cache, logits
+    (cache,) = _branch_cohort(a_hat, [dropped0], [theta0], [theta1], [mask1])
+    return cache, cache.logits
 
 
 def rank_combine(branch_logits, omega):
@@ -194,31 +222,61 @@ def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
     deterministic (evaluation mode); otherwise per-branch masks are drawn
     from a generator seeded with ``dropout_seed`` and applied to each
     layer's input.  Each branch runs two operator products, at widths h
-    and K.
+    and K.  This is :func:`forward_cohort` for a cohort of one.
+    """
+    return forward_cohort(x, graphs, [params], [dropout_seed], dropout_p)[0]
+
+
+def forward_cohort(x, graphs, cohort, dropout_seeds=None, dropout_p=0.3):
+    """:func:`forward` for several parameter sets over the same features and graphs.
+
+    ``cohort`` holds one :class:`ModelParams` per member and
+    ``dropout_seeds`` one dropout seed (or None) per member; None
+    evaluates every member.  Each member draws its masks in the order
+    :func:`forward` does, and each branch runs two operator products for
+    the whole cohort, at widths R*h and R*K for R members, so every
+    member's result is bitwise equal to its own :func:`forward`.
+    Returns one :class:`ForwardCache` per member.
     """
     x = as_dense(x, "features")
-    if len(graphs) != params.n_branches:
-        raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
-    rng = None
-    if dropout_seed is not None and dropout_p > 0.0:
-        if not 0.0 <= dropout_p < 1.0:
-            raise ParameterError(f"dropout rate must lie in [0, 1), got {dropout_p}")
-        rng = np.random.default_rng(dropout_seed)
+    if dropout_seeds is None:
+        dropout_seeds = [None] * len(cohort)
+    inputs = []  # per member, per branch: the dropped layer-1 input and the layer-2 mask
+    for params, seed in zip(cohort, dropout_seeds):
+        if len(graphs) != params.n_branches:
+            raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
+        for m in range(params.n_branches):
+            _check_branch(x, graphs[m], params.theta0[m], params.theta1[m])
+        rng = None
+        if seed is not None and dropout_p > 0.0:
+            if not 0.0 <= dropout_p < 1.0:
+                raise ParameterError(f"dropout rate must lie in [0, 1), got {dropout_p}")
+            rng = np.random.default_rng(seed)
+        member = []
+        for _ in range(params.n_branches):
+            if rng is None:
+                member.append((x, None))
+            else:
+                mask0 = _dropout_mask(rng, x.shape, dropout_p)
+                member.append((x * mask0, _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p)))
+        inputs.append(member)
 
-    branches = []
-    branch_logits = []
-    for m in range(params.n_branches):
-        dropout = None
-        if rng is not None:
-            dropout = (
-                _dropout_mask(rng, x.shape, dropout_p),
-                _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p),
-            )
-        cache, logits = branch_forward(x, graphs[m], params.theta0[m], params.theta1[m], dropout)
-        branches.append(cache)
-        branch_logits.append(logits)
-    _, probs = rank_combine(branch_logits, params.omega)
-    return ForwardCache(branches=branches, graphs=list(graphs), probs=probs, params=params)
+    branches = [
+        _branch_cohort(
+            graphs[m],
+            [member[m][0] for member in inputs],
+            [params.theta0[m] for params in cohort],
+            [params.theta1[m] for params in cohort],
+            [member[m][1] for member in inputs],
+        )
+        for m in range(len(graphs))
+    ]
+    caches = []
+    for r, params in enumerate(cohort):
+        member = [branch[r] for branch in branches]
+        _, probs = rank_combine([br.logits for br in member], params.omega)
+        caches.append(ForwardCache(branches=member, graphs=list(graphs), probs=probs, params=params))
+    return caches
 
 
 def backward(cache, y, labeled_mask, params, l2_lambda=0.0):
@@ -226,43 +284,57 @@ def backward(cache, y, labeled_mask, params, l2_lambda=0.0):
 
     Unlabeled rows contribute nothing; the loss is normalized by the
     labeled count.  The L2 penalty ``l2_lambda * sum ||Theta||_F^2``
-    affects layer weights only, never the ranking weights.
+    affects layer weights only, never the ranking weights.  This is
+    :func:`backward_cohort` for a cohort of one.
+    """
+    return backward_cohort([cache], y, [labeled_mask], [params], l2_lambda)[0]
+
+
+def backward_cohort(caches, y, labeled_masks, cohort, l2_lambda=0.0):
+    """:func:`backward` for the members of one :func:`forward_cohort` call.
+
+    ``caches``, ``labeled_masks`` and ``cohort`` hold one entry per
+    member.  Each branch runs its two operator products once for the
+    whole cohort, so every member's gradient is bitwise equal to its own
+    :func:`backward`.  Returns one gradient :class:`ModelParams` per member.
     """
     y = as_dense(y, "labels")
-    labeled_mask = np.asarray(labeled_mask, dtype=bool)
-    if cache.params.n_branches != params.n_branches:
-        raise ConsistencyError("cache and params disagree on branch count")
-    for m in range(params.n_branches):
-        if cache.branches[m].preact.shape[1] != params.theta0[m].shape[1]:
-            raise ConsistencyError("cache does not match these layer weights")
-    if y.shape != cache.probs.shape:
-        raise ShapeError(f"labels {y.shape} do not match predictions {cache.probs.shape}")
-    if labeled_mask.shape != (y.shape[0],):
-        raise ShapeError(f"mask shape {labeled_mask.shape} does not match {y.shape[0]} subjects")
+    grad_fused = []
+    for cache, labeled_mask, params in zip(caches, labeled_masks, cohort):
+        labeled_mask = np.asarray(labeled_mask, dtype=bool)
+        if cache.params.n_branches != params.n_branches:
+            raise ConsistencyError("cache and params disagree on branch count")
+        for m in range(params.n_branches):
+            if cache.branches[m].preact.shape[1] != params.theta0[m].shape[1]:
+                raise ConsistencyError("cache does not match these layer weights")
+        if cache.graphs != caches[0].graphs:
+            raise ConsistencyError("cohort members do not share their graphs")
+        if y.shape != cache.probs.shape:
+            raise ShapeError(f"labels {y.shape} do not match predictions {cache.probs.shape}")
+        if labeled_mask.shape != (y.shape[0],):
+            raise ShapeError(f"mask shape {labeled_mask.shape} does not match {y.shape[0]} subjects")
+        n_labeled = int(labeled_mask.sum())
+        grad = np.zeros_like(cache.probs)
+        if n_labeled > 0:
+            grad[labeled_mask] = (cache.probs[labeled_mask] - y[labeled_mask]) / n_labeled
+        grad_fused.append(grad)
 
-    n_labeled = int(labeled_mask.sum())
-    grad_fused = np.zeros_like(cache.probs)
-    if n_labeled > 0:
-        grad_fused[labeled_mask] = (cache.probs[labeled_mask] - y[labeled_mask]) / n_labeled
-
-    grad_theta0, grad_theta1 = [], []
-    grad_omega = np.zeros_like(params.omega)
-    for m in range(params.n_branches):
-        br = cache.branches[m]
-        a_hat = cache.graphs[m]
-        grad_omega[m] = np.sum(grad_fused * br.logits)
-
+    grads = [params.copy() for params in cohort]  # every entry is overwritten below
+    for m, a_hat in enumerate(caches[0].graphs):
         # A_hat is symmetric, so each layer's propagation passes its gradient G back as A_hat @ G
-        grad_projected1 = spmm(a_hat, params.omega[m] * grad_fused)
-        g_t1 = br.dropped1.T @ grad_projected1 + 2.0 * l2_lambda * params.theta1[m]
-        grad_dropped_hidden = grad_projected1 @ params.theta1[m].T
-        grad_hidden = grad_dropped_hidden if br.mask1 is None else grad_dropped_hidden * br.mask1
-        grad_preact = grad_hidden * (br.preact > 0)
-        g_t0 = br.dropped0.T @ spmm(a_hat, grad_preact) + 2.0 * l2_lambda * params.theta0[m]
-        grad_theta0.append(g_t0)
-        grad_theta1.append(g_t1)
-
-    return ModelParams(theta0=grad_theta0, theta1=grad_theta1, omega=grad_omega)
+        projected1 = _spmm_side_by_side(a_hat, [p.omega[m] * g for p, g in zip(cohort, grad_fused)])
+        grad_preacts = []
+        for cache, params, grad, g, gp1 in zip(caches, cohort, grads, grad_fused, projected1):
+            br = cache.branches[m]
+            grad.omega[m] = np.sum(g * br.logits)
+            grad.theta1[m][...] = br.dropped1.T @ gp1 + 2.0 * l2_lambda * params.theta1[m]
+            grad_dropped_hidden = gp1 @ params.theta1[m].T
+            grad_hidden = grad_dropped_hidden if br.mask1 is None else grad_dropped_hidden * br.mask1
+            grad_preacts.append(grad_hidden * (br.preact > 0))
+        projected0 = _spmm_side_by_side(a_hat, grad_preacts)
+        for cache, params, grad, gp0 in zip(caches, cohort, grads, projected0):
+            grad.theta0[m][...] = cache.branches[m].dropped0.T @ gp0 + 2.0 * l2_lambda * params.theta0[m]
+    return grads
 
 
 def save_checkpoint(params, seed, path):

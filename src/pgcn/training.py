@@ -18,7 +18,16 @@ import numpy as np
 from .errors import ConsistencyError, DataError, ParameterError, read_text
 from .graphs import AffinityGraph, _physical_memory_bytes
 from .linalg import as_dense
-from .model import ModelParams, backward, forward, init_params
+from .model import (
+    ModelParams,
+    backward,
+    backward_cohort,
+    branch_forward,
+    forward,
+    forward_cohort,
+    init_params,
+    rank_combine,
+)
 from .stats import accuracy, stratified_mc_split
 
 __all__ = [
@@ -32,6 +41,7 @@ __all__ = [
     "as_operators",
     "split_masks",
     "train",
+    "train_cohort",
     "grad_check",
 ]
 
@@ -238,99 +248,145 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     ``initial_params`` overrides the seeded Glorot initialization, e.g.
     for warm starts; the object passed in is copied, never mutated.
 
-    A branch-epoch runs six operator products, dropout or not: two in the
-    training forward, two in the backward and two in the evaluation
-    forward, at widths h and K.
+    This is :func:`train_cohort` for a cohort of one: a branch-epoch runs
+    six operator products, dropout or not, two in the training forward,
+    two in the backward and two in the evaluation forward, at widths h
+    and K.
 
     Returns ``(params, history)`` where ``params`` is the snapshot with
     the lowest validation loss and ``history`` records every epoch and
     why the run stopped.
     """
+    if train_mask is None and val_mask is None:
+        train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
+    (result,) = train_cohort(dataset, graphs, config, [(config.seed, train_mask, val_mask)], fixed_omega,
+                             initial_params)
+    return result
+
+
+class _Run:
+    """One member of a training cohort: its weights, Adam state, masks and early-stopping record."""
+
+    def __init__(self, seed, params, train_mask, val_mask):
+        self.seed = seed
+        self.params = params
+        self.train_mask = train_mask
+        self.val_mask = val_mask
+        self.state = init_adam_state(params)
+        self.best_params = params.copy()
+        self.best_val = np.inf
+        self.best_epoch = 0
+        self.since_improvement = 0
+        self.stop_reason = None
+        self.records = []
+
+    def end_epoch(self, record, patience):
+        """Keep the epoch's record and snapshot; patience running out sets ``stop_reason``."""
+        self.records.append(record)
+        if record.val_loss < self.best_val:
+            self.best_val = record.val_loss
+            self.best_params = self.params.copy()
+            self.best_epoch = record.epoch
+            self.since_improvement = 0
+        else:
+            self.since_improvement += 1
+            if self.since_improvement >= patience:
+                self.stop_reason = "early_stop"
+
+    def result(self):
+        history = TrainHistory(records=self.records, best_epoch=self.best_epoch,
+                               stop_reason=self.stop_reason or "max_epochs")
+        return self.best_params, history
+
+
+def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params=None):
+    """Train several runs over the same graphs in lockstep; one ``(params, history)`` per run.
+
+    ``runs`` holds one ``(seed, train_mask, val_mask)`` per member.  Each
+    member trains exactly as :func:`train` would with
+    ``config.with_seed(seed)`` and its masks: its own parameters, Adam
+    state, dropout stream and early stopping, leaving the cohort when
+    patience runs out.  ``fixed_omega`` and ``initial_params`` apply to
+    every member.  Each epoch every branch runs six operator products for
+    the whole cohort of still-active members, at widths R*h and R*K for
+    R members, with each member's columns bitwise equal to its own
+    products.
+    """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
     y = as_dense(dataset.Y, "labels")
-    if train_mask is None and val_mask is None:
-        train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
-    train_mask = np.asarray(train_mask, dtype=bool)
-    val_mask = np.asarray(val_mask, dtype=bool)
-    if not train_mask.any():
-        raise ParameterError("training set is empty")
-    if not val_mask.any():
-        raise ParameterError("validation set is empty")
     labeled = np.asarray(dataset.labeled_mask, dtype=bool)
-    if np.any(train_mask & ~labeled) or np.any(val_mask & ~labeled):
-        raise ParameterError("train/validation masks must select labeled subjects")
-    if np.any(train_mask & val_mask):
-        raise ParameterError("train and validation masks overlap")
-
-    if initial_params is not None:
-        if initial_params.n_branches != len(ops) or initial_params.d_in != x.shape[1]:
-            raise ConsistencyError("initial_params do not fit this dataset/graph combination")
-        params = initial_params.copy()
-    else:
-        (n, d), h = x.shape, config.hidden_width
-        memory = _physical_memory_bytes()
-        if memory is not None and (n + d) * h * 8 > memory:  # one n x h hidden layer and the d x h weights
-            raise ParameterError(f"hidden_width={h} needs {(n + d) * h * 8} bytes for one branch's first layer, "
-                                 f"more than the {memory} bytes of physical memory")
-        params = init_params(d, h, y.shape[1], len(ops), seed=config.seed)
     if fixed_omega is not None:
         fixed_omega = np.asarray(fixed_omega, dtype=np.float64)
-        if fixed_omega.shape != (len(ops),):
-            raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
-        params.omega = fixed_omega
 
-    state = init_adam_state(params)
-    best_params = params.copy()
-    best_val = np.inf
-    best_epoch = 0
-    since_improvement = 0
-    stop_reason = "max_epochs"
-    records = []
+    members = []
+    for seed, train_mask, val_mask in runs:
+        train_mask = np.asarray(train_mask, dtype=bool)
+        val_mask = np.asarray(val_mask, dtype=bool)
+        if not train_mask.any():
+            raise ParameterError("training set is empty")
+        if not val_mask.any():
+            raise ParameterError("validation set is empty")
+        if np.any(train_mask & ~labeled) or np.any(val_mask & ~labeled):
+            raise ParameterError("train/validation masks must select labeled subjects")
+        if np.any(train_mask & val_mask):
+            raise ParameterError("train and validation masks overlap")
 
+        if initial_params is not None:
+            if initial_params.n_branches != len(ops) or initial_params.d_in != x.shape[1]:
+                raise ConsistencyError("initial_params do not fit this dataset/graph combination")
+            params = initial_params.copy()
+        else:
+            (n, d), h = x.shape, config.hidden_width
+            memory = _physical_memory_bytes()
+            if memory is not None and (n + d) * h * 8 > memory:  # one n x h hidden layer and the d x h weights
+                raise ParameterError(f"hidden_width={h} needs {(n + d) * h * 8} bytes for one branch's first layer, "
+                                     f"more than the {memory} bytes of physical memory")
+            params = init_params(d, h, y.shape[1], len(ops), seed=seed)
+        if fixed_omega is not None:
+            if fixed_omega.shape != (len(ops),):
+                raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
+            params.omega = fixed_omega
+        members.append(_Run(seed, params, train_mask, val_mask))
+
+    active = members
     for epoch in range(1, config.max_epochs + 1):
-        dropout_seed = None
+        cohort = [run.params for run in active]
+        dropout_seeds = None
         if config.dropout_p > 0.0:
-            dropout_seed = [config.seed & 0xFFFFFFFF, 101, epoch]
-        cache = forward(x, ops, params, dropout_seed=dropout_seed, dropout_p=config.dropout_p)
-        train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
-        grads = backward(cache, y, train_mask, params, config.l2_lambda)
-        if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
-            grads.omega[:] = 0.0
-        adam_step(
-            params,
-            grads,
-            state,
-            config.learning_rate,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            eps=config.adam_eps,
-            t=epoch,
-        )
-        eval_cache = forward(x, ops, params)
-        val_loss = loss(eval_cache.probs, y, val_mask)
-        val_acc = accuracy(eval_cache.probs, y, val_mask)
-        records.append(
-            EpochRecord(
+            dropout_seeds = [[run.seed & 0xFFFFFFFF, 101, epoch] for run in active]
+        caches = forward_cohort(x, ops, cohort, dropout_seeds, config.dropout_p)
+        train_losses = [loss(cache.probs, y, run.train_mask, run.params, config.l2_lambda)
+                        for cache, run in zip(caches, active)]
+        grads = backward_cohort(caches, y, [run.train_mask for run in active], cohort, config.l2_lambda)
+        for run, run_grads in zip(active, grads):
+            if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
+                run_grads.omega[:] = 0.0
+            adam_step(
+                run.params,
+                run_grads,
+                run.state,
+                config.learning_rate,
+                beta1=config.adam_beta1,
+                beta2=config.adam_beta2,
+                eps=config.adam_eps,
+                t=epoch,
+            )
+        eval_caches = forward_cohort(x, ops, cohort)
+        for run, train_loss, eval_cache in zip(active, train_losses, eval_caches):
+            record = EpochRecord(
                 epoch=epoch,
                 train_loss=train_loss,
-                val_loss=val_loss,
-                val_acc=val_acc,
-                omega=tuple(params.omega.tolist()),
+                val_loss=loss(eval_cache.probs, y, run.val_mask),
+                val_acc=accuracy(eval_cache.probs, y, run.val_mask),
+                omega=tuple(run.params.omega.tolist()),
             )
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            best_epoch = epoch
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= config.early_stop_patience:
-                stop_reason = "early_stop"
-                break
+            run.end_epoch(record, config.early_stop_patience)
+        active = [run for run in active if run.stop_reason is None]
+        if not active:
+            break
 
-    return best_params, TrainHistory(records=records, best_epoch=best_epoch, stop_reason=stop_reason)
+    return [run.result() for run in members]
 
 
 def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=None):
@@ -338,8 +394,11 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
 
     Dropout is disabled so the objective is smooth in the parameters.
     Intended for small instances (a few hundred parameters); cost is two
-    forward passes per parameter entry, so a probe runs two operator
-    products per branch, at widths h and K.
+    loss evaluations per parameter entry.  A probe of a layer weight of
+    branch m recomputes only branch m, two operator products at widths h
+    and K, and a probe of a ranking weight reuses every branch's logits,
+    so a call runs ``4M + 4 P_theta`` products for M branches and
+    ``P_theta`` layer-weight entries.
     """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
@@ -348,19 +407,26 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
 
     cache = forward(x, ops, params)
     analytic = backward(cache, y, mask, params, l2_lambda)
+    logits = [br.logits for br in cache.branches]
+    # the branch each vector entry belongs to, in ModelParams.tensors order; None for omega
+    owners = [m % params.n_branches for m, t in enumerate(params.theta0 + params.theta1) for _ in range(t.size)]
+    owners += [None] * params.n_branches
 
-    def objective():
-        probe = forward(x, ops, params)
-        return loss(probe.probs, y, mask, params, l2_lambda)
+    def objective(branch):
+        probe = list(logits)
+        if branch is not None:
+            _, probe[branch] = branch_forward(x, ops[branch], params.theta0[branch], params.theta1[branch])
+        _, probs = rank_combine(probe, params.omega)
+        return loss(probs, y, mask, params, l2_lambda)
 
     worst = 0.0
     flat_p, flat_a = params.vector, analytic.vector
-    for idx in range(flat_p.size):
+    for idx, branch in enumerate(owners):
         orig = flat_p[idx]
         flat_p[idx] = orig + eps
-        up = objective()
+        up = objective(branch)
         flat_p[idx] = orig - eps
-        down = objective()
+        down = objective(branch)
         flat_p[idx] = orig
         numeric = (up - down) / (2.0 * eps)
         denom = max(1e-8, abs(flat_a[idx]) + abs(numeric))

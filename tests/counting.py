@@ -1,0 +1,27 @@
+"""Operator-product counting shared by the test modules."""
+
+import sys
+
+import pgcn.linalg
+
+
+def count_spmm_calls(monkeypatch):
+    """Patch ``spmm`` under every name a ``pgcn`` module binds it to.
+
+    Returns a list that receives the column width of every product, in
+    call order, so its length is the call count.
+    """
+    original = pgcn.linalg.spmm
+    widths = []
+
+    def counted(s, b):
+        out = original(s, b)
+        widths.append(out.shape[1])
+        return out
+
+    bindings = [(module, attr) for name, module in list(sys.modules.items()) if name.split(".")[0] == "pgcn"
+                for attr, value in vars(module).items() if value is original]
+    assert {module.__name__ for module, _ in bindings} >= {"pgcn.linalg", "pgcn.model"}
+    for module, attr in bindings:
+        monkeypatch.setattr(module, attr, counted)
+    return widths

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from counting import count_spmm_calls
 
+import pgcn.crossval
 from pgcn.crossval import Arm, cross_validate
 from pgcn.data import synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
@@ -88,3 +90,36 @@ class TestCrossValidate:
         arms = [Arm("same", (g_info,)), Arm("same", (g_nui,))]
         with pytest.raises(ConfigError):
             cross_validate(dataset, arms, quick_config(), repeats=2)
+
+
+class TestCohorts:
+    """Repeats of an arm train in lockstep, in cohorts of up to COHORT_COLUMNS // hidden_width."""
+
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
+    def test_cohort_equals_members_trained_one_at_a_time(self, setup, monkeypatch, dropout_p):
+        dataset, g_info, g_nui = setup
+        arms = [Arm("trainable", (g_info, g_nui)), Arm("fixed", (g_info, g_nui), fixed_omega=(0.3, 0.7))]
+        # 64 // 32 = 2 repeats per cohort, so 5 repeats split into cohorts of 2, 2 and 1
+        config = quick_config(hidden_width=32, max_epochs=60, omega_warmup_epochs=5,
+                              early_stop_patience=3, dropout_p=dropout_p)
+        cohorts = cross_validate(dataset, arms, config, repeats=5)
+        monkeypatch.setattr(pgcn.crossval, "COHORT_COLUMNS", 1)
+        alone = cross_validate(dataset, arms, config, repeats=5)
+
+        # a member leaves its cohort early while the other trains on
+        assert any(len(cohorts.histories[("trainable", r)]) != len(cohorts.histories[("trainable", r + 1)])
+                   for r in (0, 2))
+        assert cohorts.render() == alone.render()
+        assert cohorts.histories == alone.histories
+
+    def test_one_product_per_branch_and_stage_per_cohort(self, setup, monkeypatch):
+        dataset, g_info, g_nui = setup
+        arms = [Arm("pair", (g_info, g_nui)), Arm("single", (g_nui,), fixed_omega=(1.0,))]
+        epochs = 6
+        config = quick_config(hidden_width=16, max_epochs=epochs, early_stop_patience=epochs)
+        calls = count_spmm_calls(monkeypatch)
+        cross_validate(dataset, arms, config, repeats=5)  # cohorts of 64 // 16 = 4 and 1 repeats
+        branches, cohorts = 2 + 1, 2
+        # per branch and cohort: six products an epoch and two in the scoring forward
+        assert len(calls) == branches * cohorts * (6 * epochs + 2)
+        assert max(calls) == 64
