@@ -160,7 +160,7 @@ def gradcheck_instance(seed):
     while True:
         params = init_params(d, h, k, m, seed=param_rng)
         cache = forward_eval(x, ops, params)
-        grads = backward(cache, dataset.Y, mask, params, GRADCHECK_L2)
+        grads = backward(cache, dataset.Y, mask, GRADCHECK_L2)
         if np.min(np.abs(grads.vector)) >= 2e-5:
             return dataset, graphs, params
 

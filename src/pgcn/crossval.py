@@ -11,16 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParameterError
-from .model import forward_cohort
 from .stats import accuracy, auc, paired_t_test
-from .training import as_operators, split_masks, train_cohort
+from .training import split_masks, train_cohort
 
 __all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate"]
-
-# Hidden columns per training cohort.  A cohort holds max(1, COHORT_COLUMNS // hidden_width)
-# repeats: the per-column cost of a CSR product flattens by 48-64 columns and rises past 64,
-# and the bound keeps the cohort's live caches from growing with ``repeats``.
-COHORT_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -141,12 +135,11 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
 
     Returns a :class:`CvReport`; per-repeat training trajectories are
     kept under ``report.histories[(arm_name, repeat)]``.  An arm's
-    repeats train in lockstep with :func:`~pgcn.training.train_cohort`,
-    in cohorts of up to ``COHORT_COLUMNS // hidden_width`` repeats (at
-    least one), and are scored by one :func:`~pgcn.model.forward_cohort`
-    per cohort: each branch runs ``6 * epochs + 2`` operator products per
-    cohort, at widths R*h and R*K for R members, and every repeat's
-    numbers are bitwise those of training it alone.  Pairwise
+    repeats train in lockstep in one :func:`~pgcn.training.train_cohort`
+    call, and each repeat is scored on the probabilities of its best
+    epoch's evaluation forward: each branch runs ``6 * epochs`` operator
+    products per cohort, at widths R*h and R*K for R members, and every
+    repeat's numbers are bitwise those of training it alone.  Pairwise
     t-tests run on accuracy; a pair whose accuracies tie in every repeat
     is recorded as degenerate unless the AUCs tie as well, which marks
     the arms as fully identical and raises.
@@ -161,25 +154,19 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
 
     binary = dataset.n_classes == 2
     splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
-
-    cohort_size = max(1, COHORT_COLUMNS // config.hidden_width)
+    runs = [(_repeat_seed(config.seed, r), *splits[r]) for r in range(repeats)]
     results = []
     histories = {}
     for arm in arms:
-        ops = as_operators(arm.graphs)
         accs = np.zeros(repeats)
         aucs = np.full(repeats, np.nan)
-        for start in range(0, repeats, cohort_size):
-            cohort = range(start, min(start + cohort_size, repeats))
-            runs = [(_repeat_seed(config.seed, r), *splits[r]) for r in cohort]
-            trained = train_cohort(dataset, arm.graphs, config, runs, fixed_omega=arm.fixed_omega)
-            scored = forward_cohort(dataset.X, ops, [params for params, _ in trained])
-            for r, (_, history), cache in zip(cohort, trained, scored):
-                val_mask = splits[r][1]
-                accs[r] = accuracy(cache.probs, dataset.Y, val_mask)
-                if binary:
-                    aucs[r] = auc(cache.probs[val_mask, 1], dataset.labels()[val_mask])
-                histories[(arm.name, r)] = history
+        trained = train_cohort(dataset, arm.graphs, config, runs, fixed_omega=arm.fixed_omega)
+        for r, (_, history, probs) in enumerate(trained):
+            val_mask = splits[r][1]
+            accs[r] = accuracy(probs, dataset.Y, val_mask)
+            if binary:
+                aucs[r] = auc(probs[val_mask, 1], dataset.labels()[val_mask])
+            histories[(arm.name, r)] = history
         results.append(ArmResult(name=arm.name, accuracies=accs, aucs=aucs))
 
     comparisons = []

@@ -38,7 +38,7 @@ class ConfigError(PgcnError, ValueError):
 
 
 class ConsistencyError(PgcnError, ValueError):
-    """Two objects that must agree (cache/params, state/params) do not."""
+    """Two objects that must agree (say, gradients and the parameters they update) do not."""
 
     code = "consistency"
 

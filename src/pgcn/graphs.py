@@ -38,6 +38,10 @@ CONTINUOUS = "continuous"
 
 DEFAULT_BETA = 2.0
 
+# Bytes per vertex sized from an edge list's header: load_edge_list and normalize hold at most twelve
+# N-entry arrays of 8-byte values at once.
+EDGE_LIST_VERTEX_BYTES = 12 * 8
+
 
 @dataclass(frozen=True, eq=False)
 class MetaColumn:
@@ -244,10 +248,11 @@ def load_edge_list(path, source=None):
     """Read a graph written by :func:`save_edge_list` and renormalize it.
 
     Blank lines are allowed anywhere.  The ``n <N>`` header is checked
-    against physical memory, N² bytes as for a dense N x N adjacency,
-    before anything is sized from it.  A zero-weight edge is a stored
-    zero of the weights.  A faulty file raises :class:`DataError` naming
-    the 1-based file line of its first faulty line.
+    against physical memory, ``EDGE_LIST_VERTEX_BYTES`` per vertex for
+    the arrays sized from N, before anything is sized from it.  A
+    zero-weight edge is a stored zero of the weights.  A faulty file
+    raises :class:`DataError` naming the 1-based file line of its first
+    faulty line.
     """
     if source is None:
         source = os.path.splitext(os.path.basename(path))[0]
@@ -263,8 +268,8 @@ def load_edge_list(path, source=None):
     if n < 1:
         raise DataError(f"{path}: vertex count must be positive, got {n}")
     memory = _physical_memory_bytes()
-    if memory is not None and n * n > memory:
-        raise DataError(f"{path}: n={n} needs a {n * n}-byte adjacency, "
+    if memory is not None and n * EDGE_LIST_VERTEX_BYTES > memory:
+        raise DataError(f"{path}: n={n} needs {n * EDGE_LIST_VERTEX_BYTES} bytes of vertex arrays, "
                         f"more than the {memory} bytes of physical memory")
     i, j, weight = _parse_edges(path, start + 2, lines[start + 1:], n)
     weight += 0.0  # a "-0" weight is stored as +0.0, so the writer prints "0" as for every other zero

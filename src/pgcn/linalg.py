@@ -95,10 +95,6 @@ class SparseSymMatrix:
         csr = scipy.sparse.csr_matrix(a)
         return cls(a.shape[0], csr.indptr, csr.indices, csr.data)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, np.arange(n + 1), np.arange(n), np.ones(n))
-
     @property
     def indptr(self):
         return self._csr.indptr

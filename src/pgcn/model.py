@@ -279,34 +279,30 @@ def forward_cohort(x, graphs, cohort, dropout_seeds=None, dropout_p=0.3):
     return caches
 
 
-def backward(cache, y, labeled_mask, params, l2_lambda=0.0):
-    """Analytic gradients of the masked cross-entropy plus L2 penalty.
+def backward(cache, y, labeled_mask, l2_lambda=0.0):
+    """Analytic gradients at ``cache.params`` of the masked cross-entropy plus L2 penalty.
 
     Unlabeled rows contribute nothing; the loss is normalized by the
     labeled count.  The L2 penalty ``l2_lambda * sum ||Theta||_F^2``
     affects layer weights only, never the ranking weights.  This is
     :func:`backward_cohort` for a cohort of one.
     """
-    return backward_cohort([cache], y, [labeled_mask], [params], l2_lambda)[0]
+    return backward_cohort([cache], y, [labeled_mask], l2_lambda)[0]
 
 
-def backward_cohort(caches, y, labeled_masks, cohort, l2_lambda=0.0):
+def backward_cohort(caches, y, labeled_masks, l2_lambda=0.0):
     """:func:`backward` for the members of one :func:`forward_cohort` call.
 
-    ``caches``, ``labeled_masks`` and ``cohort`` hold one entry per
-    member.  Each branch runs its two operator products once for the
-    whole cohort, so every member's gradient is bitwise equal to its own
-    :func:`backward`.  Returns one gradient :class:`ModelParams` per member.
+    ``caches`` and ``labeled_masks`` hold one entry per member.  Each
+    branch runs its two operator products once for the whole cohort, so
+    every member's gradient is bitwise equal to its own :func:`backward`.
+    Returns one gradient :class:`ModelParams` per member.
     """
     y = as_dense(y, "labels")
+    cohort = [cache.params for cache in caches]
     grad_fused = []
-    for cache, labeled_mask, params in zip(caches, labeled_masks, cohort):
+    for cache, labeled_mask in zip(caches, labeled_masks):
         labeled_mask = np.asarray(labeled_mask, dtype=bool)
-        if cache.params.n_branches != params.n_branches:
-            raise ConsistencyError("cache and params disagree on branch count")
-        for m in range(params.n_branches):
-            if cache.branches[m].preact.shape[1] != params.theta0[m].shape[1]:
-                raise ConsistencyError("cache does not match these layer weights")
         if cache.graphs != caches[0].graphs:
             raise ConsistencyError("cohort members do not share their graphs")
         if y.shape != cache.probs.shape:

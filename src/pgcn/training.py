@@ -47,6 +47,11 @@ __all__ = [
 
 LOG_FLOOR = 1e-12
 
+# Hidden columns per training cohort.  A cohort holds max(1, COHORT_COLUMNS // hidden_width)
+# runs: the per-column cost of a CSR product flattens by 48-64 columns and rises past 64,
+# and the bound keeps the cohort's live caches from growing with the number of runs.
+COHORT_COLUMNS = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -259,13 +264,13 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     """
     if train_mask is None and val_mask is None:
         train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
-    (result,) = train_cohort(dataset, graphs, config, [(config.seed, train_mask, val_mask)], fixed_omega,
-                             initial_params)
-    return result
+    ((params, history, _),) = train_cohort(dataset, graphs, config, [(config.seed, train_mask, val_mask)],
+                                           fixed_omega, initial_params)
+    return params, history
 
 
 class _Run:
-    """One member of a training cohort: its weights, Adam state, masks and early-stopping record."""
+    """One member of a training cohort: its weights, Adam state, masks, history and best snapshot."""
 
     def __init__(self, seed, params, train_mask, val_mask):
         self.seed = seed
@@ -273,44 +278,43 @@ class _Run:
         self.train_mask = train_mask
         self.val_mask = val_mask
         self.state = init_adam_state(params)
-        self.best_params = params.copy()
-        self.best_val = np.inf
-        self.best_epoch = 0
-        self.since_improvement = 0
-        self.stop_reason = None
-        self.records = []
+        self.history = TrainHistory(records=[], best_epoch=0)
+        self.best_params = None
+        self.best_probs = None
 
-    def end_epoch(self, record, patience):
-        """Keep the epoch's record and snapshot; patience running out sets ``stop_reason``."""
-        self.records.append(record)
-        if record.val_loss < self.best_val:
-            self.best_val = record.val_loss
+    def end_epoch(self, record, probs, patience):
+        """Record the epoch, keep a new best's snapshot and ``probs``, and stop when patience runs out."""
+        history = self.history
+        best_val = history.records[history.best_epoch - 1].val_loss if history.best_epoch else np.inf
+        history.records.append(record)
+        if record.val_loss < best_val:
+            history.best_epoch = record.epoch
             self.best_params = self.params.copy()
-            self.best_epoch = record.epoch
-            self.since_improvement = 0
-        else:
-            self.since_improvement += 1
-            if self.since_improvement >= patience:
-                self.stop_reason = "early_stop"
+            self.best_probs = probs
+        elif record.epoch - history.best_epoch >= patience:
+            history.stop_reason = "early_stop"
 
     def result(self):
-        history = TrainHistory(records=self.records, best_epoch=self.best_epoch,
-                               stop_reason=self.stop_reason or "max_epochs")
-        return self.best_params, history
+        if not self.history.best_epoch:
+            raise ParameterError(f"run with seed {self.seed} reached no finite validation loss in "
+                                 f"{len(self.history)} epochs; try a smaller learning_rate")
+        return self.best_params, self.history, self.best_probs
 
 
 def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params=None):
-    """Train several runs over the same graphs in lockstep; one ``(params, history)`` per run.
+    """Train several runs over the same graphs in lockstep; one ``(params, history, probs)`` per run.
 
     ``runs`` holds one ``(seed, train_mask, val_mask)`` per member.  Each
     member trains exactly as :func:`train` would with
-    ``config.with_seed(seed)`` and its masks: its own parameters, Adam
-    state, dropout stream and early stopping, leaving the cohort when
-    patience runs out.  ``fixed_omega`` and ``initial_params`` apply to
-    every member.  Each epoch every branch runs six operator products for
-    the whole cohort of still-active members, at widths R*h and R*K for
-    R members, with each member's columns bitwise equal to its own
-    products.
+    ``config.with_seed(seed)`` and its masks, leaving its cohort when
+    patience runs out, and also returns ``probs``, the predictions of its
+    best epoch's evaluation forward.  A member whose validation loss is
+    never finite raises :class:`ParameterError`.  ``fixed_omega`` and
+    ``initial_params`` apply to every member.  Members train in
+    sequential cohorts of ``max(1, COHORT_COLUMNS // hidden_width)``;
+    each epoch every branch runs six operator products for a cohort's
+    still-active members, at widths R*h and R*K for R members, with each
+    member's columns bitwise equal to its own products.
     """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
@@ -349,16 +353,22 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
             params.omega = fixed_omega
         members.append(_Run(seed, params, train_mask, val_mask))
 
-    active = members
+    size = max(1, COHORT_COLUMNS // config.hidden_width)
+    for start in range(0, len(members), size):
+        _train_lockstep(x, y, ops, config, fixed_omega, members[start:start + size])
+    return [run.result() for run in members]
+
+
+def _train_lockstep(x, y, ops, config, fixed_omega, active):
+    """Train one cohort of :class:`_Run` members until each has stopped or reached ``max_epochs``."""
     for epoch in range(1, config.max_epochs + 1):
-        cohort = [run.params for run in active]
         dropout_seeds = None
         if config.dropout_p > 0.0:
             dropout_seeds = [[run.seed & 0xFFFFFFFF, 101, epoch] for run in active]
-        caches = forward_cohort(x, ops, cohort, dropout_seeds, config.dropout_p)
+        caches = forward_cohort(x, ops, [run.params for run in active], dropout_seeds, config.dropout_p)
         train_losses = [loss(cache.probs, y, run.train_mask, run.params, config.l2_lambda)
                         for cache, run in zip(caches, active)]
-        grads = backward_cohort(caches, y, [run.train_mask for run in active], cohort, config.l2_lambda)
+        grads = backward_cohort(caches, y, [run.train_mask for run in active], config.l2_lambda)
         for run, run_grads in zip(active, grads):
             if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
                 run_grads.omega[:] = 0.0
@@ -372,7 +382,7 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
                 eps=config.adam_eps,
                 t=epoch,
             )
-        eval_caches = forward_cohort(x, ops, cohort)
+        eval_caches = forward_cohort(x, ops, [run.params for run in active])
         for run, train_loss, eval_cache in zip(active, train_losses, eval_caches):
             record = EpochRecord(
                 epoch=epoch,
@@ -381,12 +391,12 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
                 val_acc=accuracy(eval_cache.probs, y, run.val_mask),
                 omega=tuple(run.params.omega.tolist()),
             )
-            run.end_epoch(record, config.early_stop_patience)
-        active = [run for run in active if run.stop_reason is None]
+            run.end_epoch(record, eval_cache.probs, config.early_stop_patience)
+        active = [run for run in active if run.history.stop_reason is None]
         if not active:
             break
-
-    return [run.result() for run in members]
+    for run in active:
+        run.history.stop_reason = "max_epochs"
 
 
 def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=None):
@@ -406,7 +416,7 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
     mask = np.asarray(dataset.labeled_mask if labeled_mask is None else labeled_mask, dtype=bool)
 
     cache = forward(x, ops, params)
-    analytic = backward(cache, y, mask, params, l2_lambda)
+    analytic = backward(cache, y, mask, l2_lambda)
     logits = [br.logits for br in cache.branches]
     # the branch each vector entry belongs to, in ModelParams.tensors order; None for omega
     owners = [m % params.n_branches for m, t in enumerate(params.theta0 + params.theta1) for _ in range(t.size)]

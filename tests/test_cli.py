@@ -203,6 +203,22 @@ def test_untrainable_optimizer_setting_is_parameter_error(synth_dir, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the case under test
+def test_run_that_never_improves_is_parameter_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "40", "--out-dir", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "max_epochs": 5, "early_stop_patience": 2}}))
+    capsys.readouterr()
+    code = main(["train", *dataset_args(data), "--graphs", "informative",
+                 "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error:parameter:")
+    assert "learning_rate" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_class_index_beyond_subjects_is_data_error(synth_dir, tmp_path, capsys):
     labels = synth_dir / "labels.csv"
     lines = labels.read_text().splitlines()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from counting import count_spmm_calls
 
-import pgcn.crossval
+import pgcn.training
 from pgcn.crossval import Arm, cross_validate
 from pgcn.data import synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
@@ -103,7 +103,7 @@ class TestCohorts:
         config = quick_config(hidden_width=32, max_epochs=60, omega_warmup_epochs=5,
                               early_stop_patience=3, dropout_p=dropout_p)
         cohorts = cross_validate(dataset, arms, config, repeats=5)
-        monkeypatch.setattr(pgcn.crossval, "COHORT_COLUMNS", 1)
+        monkeypatch.setattr(pgcn.training, "COHORT_COLUMNS", 1)
         alone = cross_validate(dataset, arms, config, repeats=5)
 
         # a member leaves its cohort early while the other trains on
@@ -120,6 +120,6 @@ class TestCohorts:
         calls = count_spmm_calls(monkeypatch)
         cross_validate(dataset, arms, config, repeats=5)  # cohorts of 64 // 16 = 4 and 1 repeats
         branches, cohorts = 2 + 1, 2
-        # per branch and cohort: six products an epoch and two in the scoring forward
-        assert len(calls) == branches * cohorts * (6 * epochs + 2)
+        # per branch and cohort: six products an epoch, and none to score the best epoch
+        assert len(calls) == branches * cohorts * 6 * epochs
         assert max(calls) == 64

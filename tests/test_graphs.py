@@ -281,10 +281,11 @@ class TestAffinityGraphEdges:
         assert_same_csr(reloaded.weights, built.weights)
 
     def test_load_edge_list_allocates_no_adjacency(self, tmp_path):
-        n = 2000
+        n = 100_000
         path = tmp_path / "g.txt"
         path.write_text(f"n {n}\n0 1 0.5\n")
-        assert traced_peak(lambda: load_edge_list(path)) < n * n // 8  # a bool adjacency would be n^2 bytes
+        # the header check's count bounds everything sized from N; a bool adjacency would be n^2 bytes
+        assert traced_peak(lambda: load_edge_list(path)) < n * pgcn.graphs.EDGE_LIST_VERTEX_BYTES
 
 
 class TestPermutationEquivariance:
@@ -502,15 +503,15 @@ class TestEdgeListFaults:
     def test_header_beyond_physical_memory(self, tmp_path, monkeypatch):
         path = tmp_path / "g.txt"
         path.write_text("n 100\n0 1 0.5\n")
-        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 100)
+        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 96)
         assert load_edge_list(path).n == 100
-        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 100 - 1)
-        with pytest.raises(DataError, match=r"n=100 needs a 10000-byte adjacency"):
+        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 96 - 1)
+        with pytest.raises(DataError, match=r"n=100 needs 9600 bytes of vertex arrays"):
             load_edge_list(path)
 
     def test_header_beyond_address_space(self, tmp_path):
         path = tmp_path / "huge.txt"
-        path.write_text("n 10000000000\n")  # 1e20 bytes of adjacency: no allocation could succeed
+        path.write_text("n 10000000000\n")  # 9.6e11 bytes of vertex arrays: no allocation could succeed
         with pytest.raises(DataError, match=r"n=10000000000 needs"):
             load_edge_list(path)
 

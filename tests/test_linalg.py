@@ -44,7 +44,7 @@ class TestSpmm:
     def test_sparse_identity(self):
         rng = np.random.default_rng(0)
         b = rng.normal(size=(4, 3))
-        np.testing.assert_array_equal(spmm(SparseSymMatrix.identity(4), b), b)
+        np.testing.assert_array_equal(spmm(SparseSymMatrix.from_dense(np.eye(4)), b), b)
 
     def test_permutation(self):
         s = SparseSymMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -70,7 +70,7 @@ class TestSpmm:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            spmm(SparseSymMatrix.identity(3), np.zeros((4, 2)))
+            spmm(SparseSymMatrix.from_dense(np.eye(3)), np.zeros((4, 2)))
 
 
 class TestRelu:
@@ -190,6 +190,6 @@ class TestSparseSymMatrix:
         np.testing.assert_array_equal(s.data, [0.0, 0.0])
 
     def test_immutability(self):
-        s = SparseSymMatrix.identity(3)
+        s = SparseSymMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             s.data[0] = 2.0

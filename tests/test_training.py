@@ -8,16 +8,19 @@ import pgcn.training
 from pgcn.data import load_dataset, synth_generate, write_dataset
 from pgcn.errors import ConsistencyError, DataError, ParameterError
 from pgcn.graphs import build_graph
-from pgcn.model import ModelParams, init_params
+from pgcn.model import ModelParams, forward, init_params
 from pgcn.training import (
     AdamState,
     TrainConfig,
     TrainHistory,
     adam_step,
+    as_operators,
     grad_check,
     init_adam_state,
     loss,
+    split_masks,
     train,
+    train_cohort,
 )
 
 
@@ -293,6 +296,31 @@ class TestTrain:
                 val_mask=np.ones(n, dtype=bool),
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the case under test
+    def test_run_that_never_improves_is_parameter_error(self):
+        dataset, g_info, _ = planted_setup(n=40, seed=1)
+        config = self.quick_config(learning_rate=1e300, max_epochs=5, early_stop_patience=2)
+        with pytest.raises(ParameterError, match="learning_rate"):
+            train(dataset, [g_info], config)
+
+
+class TestTrainCohort:
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
+    def test_probs_are_the_returned_params_evaluated(self, monkeypatch, dropout_p):
+        dataset, g_info, g_nui = planted_setup(seed=5)
+        graphs = [g_info, g_nui]
+        config = TrainConfig(max_epochs=60, omega_warmup_epochs=5, early_stop_patience=3, seed=3,
+                             hidden_width=16, dropout_p=dropout_p)
+        runs = [(seed, *split_masks(dataset, 0.2, r, 7)) for r, seed in enumerate(range(11, 16))]
+        monkeypatch.setattr(pgcn.training, "COHORT_COLUMNS", 48)  # 48 // 16 = 3: cohorts of 3 and 2 runs
+        widths = count_spmm_calls(monkeypatch)
+        trained = train_cohort(dataset, graphs, config, runs)
+        assert max(widths) == 3 * 16
+        lengths = [len(history) for _, history, _ in trained]
+        assert len(set(lengths[:3])) > 1  # a member leaves its cohort while a cohort-mate trains on
+        for params, _, probs in trained:
+            assert probs.tobytes() == forward(dataset.X, as_operators(graphs), params).probs.tobytes()
+
 
 class TestGradCheck:
     def small_instance(self, seed):
@@ -324,7 +352,7 @@ class TestGradCheck:
         dataset, graphs, params = self.small_instance(12)
         ops = [g.normalized for g in graphs]
         cache = forward(dataset.X, ops, params)
-        analytic = backward(cache, dataset.Y, dataset.labeled_mask, params, 5e-4).omega
+        analytic = backward(cache, dataset.Y, dataset.labeled_mask, 5e-4).omega
         eps = 1e-6
         for m in range(2):
             orig = params.omega[m]
