@@ -6,12 +6,15 @@ dataset, ``build-graph`` exports one affinity graph as an edge list,
 experiment from a JSON config, ``gradcheck`` verifies the hand-derived
 gradients against finite differences, and ``rank-report`` summarizes
 ranking-weight trajectories from history files.  Every error is reported
-as one ``error:<code>: <message>`` line on stderr with a nonzero exit.
+as one ``error:<code>: <message>`` line on stderr with a nonzero exit;
+numpy warnings raised on the way to an error are not printed, and those
+of a run that succeeds are printed after it.
 """
 
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -43,11 +46,12 @@ GRADCHECK_LABELED = 8
 GRADCHECK_L2 = 5e-4
 
 
-def _add_common(parser, out_dir=True):
+def _add_common(parser, out_dir=True, config=True):
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     if out_dir:
         parser.add_argument("--out-dir", default=".", help="directory for output files")
-    parser.add_argument("--config", default=None, help="JSON configuration file")
+    if config:
+        parser.add_argument("--config", default=None, help="JSON configuration file")
 
 
 def _add_dataset_args(parser):
@@ -201,7 +205,7 @@ def build_parser():
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--informative-strength", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graph", help="export one affinity graph as an edge list")
@@ -227,14 +231,12 @@ def build_parser():
     p.add_argument("--count", type=int, default=10, help="number of seeded instances")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--l2", type=float, default=5e-4)
-    _add_common(p, out_dir=False)
+    _add_common(p, out_dir=False, config=False)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("rank-report", help="summarize ranking weights from history files")
     p.add_argument("histories", nargs="+", help="history CSV files")
     p.add_argument("--out-dir", default=None, help="also write rank_report.txt here")
-    p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_rank_report)
 
     return parser
@@ -242,11 +244,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except PgcnError as exc:
-        print(f"error:{exc.code}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:  # the active filters still apply
+        try:
+            status = args.func(args)
+        except PgcnError as exc:
+            print(f"error:{exc.code}: {exc}", file=sys.stderr)
+            return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return status
 
 
 if __name__ == "__main__":

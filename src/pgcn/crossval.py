@@ -22,9 +22,10 @@ class Arm:
     """One experiment arm: a named graph set with its ranking mode.
 
     ``graphs`` holds graph-source strings inside an
-    :class:`~pgcn.experiments.ExperimentConfig` and built graphs (or
-    normalized operators) once :func:`~pgcn.experiments.build_arm_graphs`
-    has run; :func:`cross_validate` takes the built form.
+    :class:`~pgcn.experiments.ExperimentConfig` and built
+    :class:`~pgcn.graphs.AffinityGraph` objects once
+    :func:`~pgcn.experiments.build_arm_graphs` has run;
+    :func:`cross_validate` takes only the built form.
     """
 
     name: str
@@ -122,7 +123,9 @@ class CvReport:
             lines.append(f"  t = {c.t!r}")
             lines.append(f"  p = {c.p!r}")
             if c.degenerate:
-                lines.append("  degenerate = true (identical accuracies in every repeat)")
+                same = np.array_equal(self.arm(c.arm_a).accuracies, self.arm(c.arm_b).accuracies)
+                kind = "identical accuracies" if same else "the same nonzero accuracy difference"
+                lines.append(f"  degenerate = true ({kind} in every repeat)")
         return "\n".join(lines) + "\n"
 
 
@@ -140,9 +143,12 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     epoch's evaluation forward: each branch runs ``6 * epochs`` operator
     products per cohort, at widths R*h and R*K for R members, and every
     repeat's numbers are bitwise those of training it alone.  Pairwise
-    t-tests run on accuracy; a pair whose accuracies tie in every repeat
-    is recorded as degenerate unless the AUCs tie as well, which marks
-    the arms as fully identical and raises.
+    t-tests run on accuracy.  A pair whose per-repeat accuracy
+    differences have zero variance, identical accuracies or the same
+    nonzero difference in every repeat, has no t statistic: it is
+    recorded as degenerate with nan ``t`` and ``p``, unless every
+    training trajectory of the two arms matches, which marks them as
+    identical experiments and raises :class:`DegenerateInputError`.
     """
     if repeats < 2:
         raise ParameterError(f"need at least 2 repeats, got {repeats}")

@@ -3,8 +3,11 @@
 Each error class carries a short machine-readable ``code`` so batch
 callers (and the CLI) can report failures on a single line without
 parsing prose.  :func:`read_text` reads every input file, so a file that
-cannot be read or decoded fails as one of these errors too.
+cannot be read or decoded fails as one of these errors too, and
+:func:`require_memory` fails before an allocation that memory cannot hold.
 """
+
+import os
 
 
 class PgcnError(Exception):
@@ -66,3 +69,22 @@ def read_text(path, encoding, error):
         line = len((raw[:exc.start] + b".").splitlines())  # bytes split only where open splits lines
         raise error(f"{path}:{line}: byte {raw[exc.start]:#04x} is not {encoding}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _physical_memory_bytes():
+    """Physical memory of the machine, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def require_memory(nbytes, error, need):
+    """Raise ``error``, its message opening with ``need``, when ``nbytes`` exceed physical memory.
+
+    ``need`` names the allocation, as in ``"n=100 needs 9600 bytes of
+    vertex arrays"``.  Where the OS does not report its memory, nothing is checked.
+    """
+    memory = _physical_memory_bytes()
+    if memory is not None and nbytes > memory:
+        raise error(f"{need}, more than the {memory} bytes of physical memory")

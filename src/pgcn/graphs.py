@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import DataError, ParameterError, ShapeError, read_text
+from .errors import DataError, ParameterError, ShapeError, read_text, require_memory
 from .linalg import SparseSymMatrix, as_dense
 
 __all__ = [
@@ -41,6 +41,10 @@ DEFAULT_BETA = 2.0
 # Bytes per vertex sized from an edge list's header: load_edge_list and normalize hold at most twelve
 # N-entry arrays of 8-byte values at once.
 EDGE_LIST_VERTEX_BYTES = 12 * 8
+
+# Bytes per vertex pair that build_graph and random_graph hold at least, one N x N float64 and one N x N
+# bool.  Denser graphs peak higher, so the preflight refuses no build that fits, but passes some that do not.
+GRAPH_BUILD_PAIR_BYTES = 8 + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +74,19 @@ class MetaColumn:
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Similarity weights and normalized operator for one element.
+    """Similarity weights for one element and the normalized operator derived from them.
 
     The stored pattern of ``weights`` is the edge set: an edge whose
-    clamped similarity is zero is a stored ``0.0``.
+    clamped similarity is zero is a stored ``0.0``.  ``normalized`` is
+    computed from ``weights`` on construction, so the two always agree.
     """
 
     weights: SparseSymMatrix      # W >= 0, stored exactly on the edges
-    normalized: SparseSymMatrix   # D^{-1/2} (W + I) D^{-1/2}
     source: str
+    normalized: SparseSymMatrix = field(init=False, repr=False)   # D^{-1/2} (W + I) D^{-1/2}
+
+    def __post_init__(self):
+        object.__setattr__(self, "normalized", normalize(self.weights))
 
     @property
     def edges(self):
@@ -170,8 +178,6 @@ def build_affinity(sim, edges):
         raise ShapeError(f"adjacency must be square, got {edges.shape}")
     if sim.shape != edges.shape:
         raise ShapeError(f"similarity {sim.shape} does not match adjacency {edges.shape}")
-    if not np.array_equal(edges, edges.T):
-        raise DataError("adjacency is not symmetric")
     rows, cols = np.nonzero(edges)  # row-major, the order CSR stores
     w = np.maximum(sim[rows, cols], 0.0)
     w += np.maximum(sim[cols, rows], 0.0)
@@ -186,9 +192,9 @@ def _csr_from_row_major(n, rows, cols, values):
 
 
 def normalize(w):
-    """Self-loop-augmented symmetric normalization D^{-1/2} (W + I) D^{-1/2}."""
+    """Self-loop-augmented symmetric normalization D^{-1/2} (W + I) D^{-1/2} of a :class:`SparseSymMatrix`."""
     if not isinstance(w, SparseSymMatrix):
-        w = SparseSymMatrix.from_dense(w)
+        raise ShapeError("normalize expects a SparseSymMatrix")
     degrees = w.row_sums() + 1.0  # +1 from the identity self-loop
     bad = np.flatnonzero(degrees <= 0)
     if bad.size:
@@ -207,17 +213,25 @@ def random_graph(n, density, seed):
         raise ParameterError(f"random graph needs n >= 2, got {n}")
     if not 0.0 < density <= 1.0:
         raise ParameterError(f"density must lie in (0, 1], got {density}")
+    _require_pair_memory(n, ParameterError)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     weights = SparseSymMatrix.from_dense((upper | upper.T).astype(np.float64))
-    return AffinityGraph(weights=weights, normalized=normalize(weights), source="random")
+    return AffinityGraph(weights, "random")
 
 
 def build_graph(col, features, beta=None, metric="pearson"):
     """Full pipeline for one metadata element: edges, weights, normalization."""
+    _require_pair_memory(len(col), DataError)
     edges = build_edges(col, beta=beta)  # before the similarity, so the two peaks do not overlap
     weights = build_affinity(similarity_matrix(features, metric=metric), edges)
-    return AffinityGraph(weights=weights, normalized=normalize(weights), source=col.name)
+    return AffinityGraph(weights, col.name)
+
+
+def _require_pair_memory(n, error):
+    """Refuse a graph build whose N x N arrays, ``GRAPH_BUILD_PAIR_BYTES`` per pair, exceed physical memory."""
+    nbytes = n * n * GRAPH_BUILD_PAIR_BYTES
+    require_memory(nbytes, error, f"n={n} needs {nbytes} bytes of N x N arrays to build a graph")
 
 
 def save_edge_list(graph, path):
@@ -236,26 +250,17 @@ def save_edge_list(graph, path):
         fh.write(f"n {graph.n}\n" + ("%d %d %.17g\n" * len(rows)) % tuple(triples))
 
 
-def _physical_memory_bytes():
-    """Physical memory of the machine, or None where the OS does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def load_edge_list(path, source=None):
+def load_edge_list(path):
     """Read a graph written by :func:`save_edge_list` and renormalize it.
 
-    Blank lines are allowed anywhere.  The ``n <N>`` header is checked
+    The graph's source is the file name without its extension.  Blank
+    lines are allowed anywhere.  The ``n <N>`` header is checked
     against physical memory, ``EDGE_LIST_VERTEX_BYTES`` per vertex for
     the arrays sized from N, before anything is sized from it.  A
     zero-weight edge is a stored zero of the weights.  A faulty file
     raises :class:`DataError` naming the 1-based file line of its first
     faulty line.
     """
-    if source is None:
-        source = os.path.splitext(os.path.basename(path))[0]
     lines = read_text(path, "ascii", DataError).split("\n")
     start = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
     header = lines[start].strip() if start < len(lines) else ""
@@ -267,16 +272,14 @@ def load_edge_list(path, source=None):
         raise DataError(f"{path}: malformed header {header!r}") from exc
     if n < 1:
         raise DataError(f"{path}: vertex count must be positive, got {n}")
-    memory = _physical_memory_bytes()
-    if memory is not None and n * EDGE_LIST_VERTEX_BYTES > memory:
-        raise DataError(f"{path}: n={n} needs {n * EDGE_LIST_VERTEX_BYTES} bytes of vertex arrays, "
-                        f"more than the {memory} bytes of physical memory")
+    nbytes = n * EDGE_LIST_VERTEX_BYTES
+    require_memory(nbytes, DataError, f"{path}: n={n} needs {nbytes} bytes of vertex arrays")
     i, j, weight = _parse_edges(path, start + 2, lines[start + 1:], n)
     weight += 0.0  # a "-0" weight is stored as +0.0, so the writer prints "0" as for every other zero
     rows, cols, values = np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((weight, weight))
     order = np.argsort(rows * n + cols)
     weights = _csr_from_row_major(n, rows[order], cols[order], values[order])
-    return AffinityGraph(weights=weights, normalized=normalize(weights), source=source)
+    return AffinityGraph(weights, os.path.splitext(os.path.basename(path))[0])
 
 
 def _parse_edges(path, first_line, body, n):

@@ -17,6 +17,7 @@ __all__ = [
     "as_dense",
     "matmul",
     "spmm",
+    "spmm_blocks",
     "relu",
     "softmax_rows",
 ]
@@ -63,6 +64,20 @@ def spmm(s, b):
     if s.dim != b.shape[0]:
         raise ShapeError(f"cannot multiply sparse ({s.dim}, {s.dim}) by {b.shape}")
     return s.scipy() @ b
+
+
+def spmm_blocks(s, blocks):
+    """``[spmm(s, block) for block in blocks]`` from one product over the blocks laid side by side.
+
+    A CSR product computes each output column from its own input column
+    alone, so every block comes back bitwise equal to ``spmm(s, block)``,
+    split back into contiguous arrays.
+    """
+    if len(blocks) == 1:
+        return [spmm(s, blocks[0])]
+    wide = spmm(s, np.hstack(blocks))
+    bounds = np.cumsum([b.shape[1] for b in blocks[:-1]])
+    return [np.ascontiguousarray(part) for part in np.hsplit(wide, bounds)]
 
 
 class SparseSymMatrix:

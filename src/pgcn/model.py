@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, ShapeError
-from .linalg import SparseSymMatrix, as_dense, relu, softmax_rows, spmm
+from .linalg import as_dense, relu, softmax_rows, spmm_blocks
 
 __all__ = [
     "ModelParams",
@@ -144,28 +144,11 @@ def _dropout_mask(rng, shape, p):
     return keep / (1.0 - p)
 
 
-def _check_branch(x, a_hat, theta0, theta1):
-    if not isinstance(a_hat, SparseSymMatrix):
-        raise ShapeError("branch_forward expects a SparseSymMatrix operator")
-    if a_hat.dim != x.shape[0]:
-        raise ShapeError(f"operator dim {a_hat.dim} does not match {x.shape[0]} subjects")
+def _check_branch(x, theta0, theta1):
     if x.shape[1] != theta0.shape[0]:
         raise ShapeError(f"features {x.shape} do not match layer-1 weights {theta0.shape}")
     if theta0.shape[1] != theta1.shape[0]:
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
-
-
-def _spmm_side_by_side(a_hat, blocks):
-    """One operator product over the blocks laid side by side, split back into contiguous blocks.
-
-    A CSR product computes each output column from its own input column
-    alone, so every block comes back bitwise equal to ``spmm(a_hat, block)``.
-    """
-    if len(blocks) == 1:
-        return [spmm(a_hat, blocks[0])]
-    wide = spmm(a_hat, np.hstack(blocks))
-    bounds = np.cumsum([b.shape[1] for b in blocks[:-1]])
-    return [np.ascontiguousarray(part) for part in np.hsplit(wide, bounds)]
 
 
 def _branch_cohort(a_hat, dropped0, theta0, theta1, mask1):
@@ -173,12 +156,12 @@ def _branch_cohort(a_hat, dropped0, theta0, theta1, mask1):
 
     Each layer runs one operator product over all members' columns.
     """
-    preacts = _spmm_side_by_side(a_hat, [d @ t for d, t in zip(dropped0, theta0)])
+    preacts = spmm_blocks(a_hat, [d @ t for d, t in zip(dropped0, theta0)])
     dropped1 = []
     for preact, mask in zip(preacts, mask1):
         hidden = relu(preact)
         dropped1.append(hidden if mask is None else hidden * mask)
-    logits = _spmm_side_by_side(a_hat, [d @ t for d, t in zip(dropped1, theta1)])
+    logits = spmm_blocks(a_hat, [d @ t for d, t in zip(dropped1, theta1)])
     return [BranchCache(*fields) for fields in zip(dropped0, preacts, dropped1, logits, mask1)]
 
 
@@ -191,7 +174,7 @@ def branch_forward(x, a_hat, theta0, theta1, dropout=None):
     over h columns in layer 1 and K in layer 2.
     """
     x = as_dense(x, "features")
-    _check_branch(x, a_hat, theta0, theta1)
+    _check_branch(x, theta0, theta1)
     mask0, mask1 = (None, None) if dropout is None else dropout
     dropped0 = x if mask0 is None else x * mask0
     (cache,) = _branch_cohort(a_hat, [dropped0], [theta0], [theta1], [mask1])
@@ -246,7 +229,7 @@ def forward_cohort(x, graphs, cohort, dropout_seeds=None, dropout_p=0.3):
         if len(graphs) != params.n_branches:
             raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
         for m in range(params.n_branches):
-            _check_branch(x, graphs[m], params.theta0[m], params.theta1[m])
+            _check_branch(x, params.theta0[m], params.theta1[m])
         rng = None
         if seed is not None and dropout_p > 0.0:
             if not 0.0 <= dropout_p < 1.0:
@@ -318,7 +301,7 @@ def backward_cohort(caches, y, labeled_masks, l2_lambda=0.0):
     grads = [params.copy() for params in cohort]  # every entry is overwritten below
     for m, a_hat in enumerate(caches[0].graphs):
         # A_hat is symmetric, so each layer's propagation passes its gradient G back as A_hat @ G
-        projected1 = _spmm_side_by_side(a_hat, [p.omega[m] * g for p, g in zip(cohort, grad_fused)])
+        projected1 = spmm_blocks(a_hat, [p.omega[m] * g for p, g in zip(cohort, grad_fused)])
         grad_preacts = []
         for cache, params, grad, g, gp1 in zip(caches, cohort, grads, grad_fused, projected1):
             br = cache.branches[m]
@@ -327,7 +310,7 @@ def backward_cohort(caches, y, labeled_masks, l2_lambda=0.0):
             grad_dropped_hidden = gp1 @ params.theta1[m].T
             grad_hidden = grad_dropped_hidden if br.mask1 is None else grad_dropped_hidden * br.mask1
             grad_preacts.append(grad_hidden * (br.preact > 0))
-        projected0 = _spmm_side_by_side(a_hat, grad_preacts)
+        projected0 = spmm_blocks(a_hat, grad_preacts)
         for cache, params, grad, gp0 in zip(caches, cohort, grads, projected0):
             grad.theta0[m][...] = cache.branches[m].dropped0.T @ gp0 + 2.0 * l2_lambda * params.theta0[m]
     return grads

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConsistencyError, DataError, ParameterError, read_text
-from .graphs import AffinityGraph, _physical_memory_bytes
+from .errors import ConsistencyError, DataError, ParameterError, read_text, require_memory
+from .graphs import AffinityGraph
 from .linalg import as_dense
 from .model import (
     ModelParams,
@@ -223,10 +223,13 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
 
 
 def as_operators(graphs):
-    ops = [g.normalized if isinstance(g, AffinityGraph) else g for g in graphs]
-    if not ops:
+    """The normalized operators of a nonempty list of :class:`~pgcn.graphs.AffinityGraph`."""
+    if not graphs:
         raise ParameterError("need at least one graph")
-    return ops
+    for k, graph in enumerate(graphs):
+        if not isinstance(graph, AffinityGraph):
+            raise ParameterError(f"graph {k} is a {type(graph).__name__}, not an AffinityGraph")
+    return [graph.normalized for graph in graphs]
 
 
 def split_masks(dataset, val_fraction, repeat, seed):
@@ -243,7 +246,7 @@ def split_masks(dataset, val_fraction, repeat, seed):
 
 def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=None,
           initial_params=None):
-    """Train on one dataset/graph-set and return the best snapshot.
+    """Train on one dataset and list of :class:`~pgcn.graphs.AffinityGraph` and return the best snapshot.
 
     ``train_mask``/``val_mask`` select labeled rows for the objective and
     for early stopping; when omitted a stratified 90/10 split of the
@@ -304,7 +307,8 @@ class _Run:
 def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params=None):
     """Train several runs over the same graphs in lockstep; one ``(params, history, probs)`` per run.
 
-    ``runs`` holds one ``(seed, train_mask, val_mask)`` per member.  Each
+    ``graphs`` holds :class:`~pgcn.graphs.AffinityGraph` objects, as for
+    :func:`train` and :func:`grad_check`.  ``runs`` holds one ``(seed, train_mask, val_mask)`` per member.  Each
     member trains exactly as :func:`train` would with
     ``config.with_seed(seed)`` and its masks, leaving its cohort when
     patience runs out, and also returns ``probs``, the predictions of its
@@ -322,6 +326,10 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
     labeled = np.asarray(dataset.labeled_mask, dtype=bool)
     if fixed_omega is not None:
         fixed_omega = np.asarray(fixed_omega, dtype=np.float64)
+    if initial_params is None:
+        (n, d), h = x.shape, config.hidden_width
+        nbytes = (n + d) * h * 8  # one n x h hidden layer and the d x h weights
+        require_memory(nbytes, ParameterError, f"hidden_width={h} needs {nbytes} bytes for one branch's first layer")
 
     members = []
     for seed, train_mask, val_mask in runs:
@@ -341,12 +349,7 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
                 raise ConsistencyError("initial_params do not fit this dataset/graph combination")
             params = initial_params.copy()
         else:
-            (n, d), h = x.shape, config.hidden_width
-            memory = _physical_memory_bytes()
-            if memory is not None and (n + d) * h * 8 > memory:  # one n x h hidden layer and the d x h weights
-                raise ParameterError(f"hidden_width={h} needs {(n + d) * h * 8} bytes for one branch's first layer, "
-                                     f"more than the {memory} bytes of physical memory")
-            params = init_params(d, h, y.shape[1], len(ops), seed=seed)
+            params = init_params(x.shape[1], config.hidden_width, y.shape[1], len(ops), seed=seed)
         if fixed_omega is not None:
             if fixed_omega.shape != (len(ops),):
                 raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
@@ -399,7 +402,7 @@ def _train_lockstep(x, y, ops, config, fixed_omega, active):
         run.history.stop_reason = "max_epochs"
 
 
-def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=None):
+def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4):
     """Max relative error of analytic gradients against central differences.
 
     Dropout is disabled so the objective is smooth in the parameters.
@@ -413,7 +416,7 @@ def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4, labeled_mask=N
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
     y = as_dense(dataset.Y, "labels")
-    mask = np.asarray(dataset.labeled_mask if labeled_mask is None else labeled_mask, dtype=bool)
+    mask = np.asarray(dataset.labeled_mask, dtype=bool)
 
     cache = forward(x, ops, params)
     analytic = backward(cache, y, mask, l2_lambda)

@@ -21,7 +21,9 @@ def count_spmm_calls(monkeypatch):
 
     bindings = [(module, attr) for name, module in list(sys.modules.items()) if name.split(".")[0] == "pgcn"
                 for attr, value in vars(module).items() if value is original]
-    assert {module.__name__ for module, _ in bindings} >= {"pgcn.linalg", "pgcn.model"}
+    owners = {module.__name__ for module, _ in bindings}
+    # linalg owns every operator product; the model reaches them only through linalg.spmm_blocks
+    assert "pgcn.linalg" in owners and "pgcn.model" in sys.modules and "pgcn.model" not in owners
     for module, attr in bindings:
         monkeypatch.setattr(module, attr, counted)
     return widths

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pgcn
+import pgcn.cli
 from pgcn.cli import main
 from pgcn.model import load_checkpoint
 
@@ -472,3 +473,70 @@ def test_seeded_dataset_and_config_faults_end_in_one_error_line(synth_dir, tmp_p
             err = capsys.readouterr().err
             if code != 0 or err:
                 assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (name, case, err)
+
+
+def pgcn_subprocess(args, cwd, **env):
+    """Run ``python -m pgcn`` on this checkout with default warning filters and ``env`` added."""
+    src = os.path.dirname(os.path.dirname(pgcn.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pgcn", *args], cwd=cwd, capture_output=True, text=True,
+                          env={**base, **env})
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--config", "cfg.json"],
+    ["gradcheck", "--count", "1", "--config", "cfg.json"],
+    ["rank-report", "history.csv", "--config", "cfg.json"],
+    ["rank-report", "history.csv", "--seed", "1"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_warnings_on_the_way_to_an_error_are_not_printed(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "40", "--out-dir", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "max_epochs": 5, "early_stop_patience": 2}}))
+    out = pgcn_subprocess(["train", *dataset_args(data), "--graphs", "informative", "--config", str(cfg),
+                           "--out-dir", str(tmp_path / "out")], tmp_path)
+    assert out.returncode == 2
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("error:parameter:"), out.stderr
+
+
+def test_warnings_of_a_run_that_succeeds_are_printed_after_it(monkeypatch, capsys):
+    def noisy(args):
+        warnings.warn("held back until the command ends", UserWarning)
+        print("done")
+        return 0
+
+    monkeypatch.setattr(pgcn.cli, "cmd_synth", noisy)
+    with pytest.warns(UserWarning, match="held back"):
+        assert main(["synth"]) == 0
+    assert capsys.readouterr().out == "done\n"
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # wide enough for the threaded BLAS kernels; history cells may move in their last bit across thread counts
+    dataset, _, _ = pgcn.synth_generate(1000, 64, seed=5, informative_strength=1.0)
+    pgcn.write_dataset(dataset, tmp_path / "data")
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps({
+        "arms": [{"name": "both", "graph_sources": ["informative", "nuisance"]},
+                 {"name": "solo", "graph_sources": ["informative"]}],
+        "train": {"max_epochs": 6, "hidden_width": 16, "early_stop_patience": 6, "seed": 3},
+        "repeats": 2,
+    }))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run = pgcn_subprocess(["cv", *dataset_args(tmp_path / "data"), "--config", str(cfg), "--out-dir", str(out)],
+                              tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+        reports.append((out / "report.txt").read_bytes())
+    assert reports[0] == reports[1]

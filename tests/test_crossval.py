@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from counting import count_spmm_calls
 
+import pgcn.crossval
 import pgcn.training
 from pgcn.crossval import Arm, cross_validate
 from pgcn.data import synth_generate
@@ -49,6 +50,21 @@ class TestCrossValidate:
         arms = [Arm("a", (g_info,)), Arm("b", (g_info,))]
         with pytest.raises(DegenerateInputError):
             cross_validate(dataset, arms, quick_config(), repeats=3)
+
+    @pytest.mark.parametrize("accuracies, kind", [
+        ([0.9, 0.8, 0.85, 0.75], "the same nonzero accuracy difference"),
+        ([0.9, 0.8, 0.9, 0.8], "identical accuracies"),
+    ])
+    def test_degenerate_comparison_says_why(self, setup, monkeypatch, accuracies, kind):
+        dataset, g_info, g_nui = setup
+        scores = iter(accuracies)  # arm a's two repeats, then arm b's
+        monkeypatch.setattr(pgcn.crossval, "accuracy", lambda probs, y, mask: next(scores))
+        arms = [Arm("a", (g_info,)), Arm("b", (g_nui,))]
+        report = cross_validate(dataset, arms, quick_config(max_epochs=2), repeats=2)
+        comp = report.comparison("a", "b")
+        assert comp.degenerate and np.isnan(comp.t) and np.isnan(comp.p)
+        expected = f"compare a vs b\n  t = nan\n  p = nan\n  degenerate = true ({kind} in every repeat)\n"
+        assert report.render().endswith(expected)
 
     def test_aggregates_recomputable(self, setup):
         dataset, g_info, g_nui = setup

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse
 from oracles import power_iteration_radius
 
+import pgcn.errors
 import pgcn.graphs
 from pgcn.errors import DataError, ParameterError, ShapeError
 from pgcn.graphs import (
@@ -158,6 +159,12 @@ class TestBuildAffinity:
         with pytest.raises(ShapeError):
             build_affinity(np.ones((2, 2)), np.zeros((3, 3), dtype=bool))
 
+    def test_asymmetric_adjacency_is_data_error(self):
+        edges = np.zeros((3, 3), dtype=bool)
+        edges[0, 1] = edges[1, 0] = edges[1, 2] = True  # (1, 2) without (2, 1)
+        with pytest.raises(DataError, match="not symmetric"):
+            build_affinity(np.ones((3, 3)), edges)
+
     def test_zero_exactly_off_edges(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -210,7 +217,11 @@ class TestNormalize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"vertex 1 has degree -1\.0"):
-                normalize(dense)
+                normalize(SparseSymMatrix.from_dense(dense))
+
+    def test_dense_input_is_shape_error(self):
+        with pytest.raises(ShapeError, match="SparseSymMatrix"):
+            normalize(np.zeros((2, 2)))
 
     def test_exact_entries_with_isolated_vertex_and_diagonal_weight(self):
         dense = np.zeros((4, 4))
@@ -226,6 +237,29 @@ class TestNormalize:
         # bitwise equality with (W + I)_ij * s_i * s_j, multiplied in that order
         np.testing.assert_array_equal(a_hat.data, w_plus_i[rows, cols] * s[rows] * s[cols])
         assert a_hat.to_dense()[3, 3] == 1.0
+
+
+class TestAffinityGraph:
+    def test_operator_is_derived_from_weights(self):
+        weights = random_weights(12, 0.5, np.random.default_rng(4))
+        graph = AffinityGraph(weights, "g")
+        assert_same_csr(graph.normalized, normalize(weights))
+        with pytest.raises(TypeError):
+            AffinityGraph(weights, "g", normalized=normalize(weights))
+
+    @pytest.mark.parametrize("build", ["metadata", "random"])
+    def test_build_beyond_physical_memory(self, monkeypatch, build):
+        n = 100
+        needed = 9 * n * n  # one N x N float64 and one N x N bool
+        col = MetaColumn("site", "categorical", np.arange(n) % 3)
+        x = np.random.default_rng(0).normal(size=(n, 4))
+        error = DataError if build == "metadata" else ParameterError
+        step = (lambda: build_graph(col, x)) if build == "metadata" else (lambda: random_graph(n, 0.1, seed=0))
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed)
+        assert step().n == n
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(error, match=rf"n={n} needs {needed} bytes of N x N arrays"):
+            step()
 
 
 class TestRandomGraph:
@@ -319,6 +353,7 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "graph.txt"
         save_edge_list(graph, path)
         loaded = load_edge_list(path)
+        assert loaded.source == "graph"  # the file name without its extension
         np.testing.assert_array_equal(loaded.edges.toarray(), graph.edges.toarray())
         np.testing.assert_array_equal(loaded.weights.to_dense(), graph.weights.to_dense())
         np.testing.assert_array_equal(loaded.normalized.data, graph.normalized.data)
@@ -327,7 +362,7 @@ class TestEdgeListRoundTrip:
         sim = np.array([[1.0, -0.4, 0.6], [-0.4, 1.0, 0.2], [0.6, 0.2, 1.0]])
         edges = ~np.eye(3, dtype=bool)
         graph_w = build_affinity(sim, edges)
-        g = AffinityGraph(weights=graph_w, normalized=normalize(graph_w), source="toy")
+        g = AffinityGraph(graph_w, "toy")
         path = tmp_path / "clamped.txt"
         save_edge_list(g, path)
         text = path.read_text()
@@ -424,7 +459,7 @@ class TestBulkPathsMatchDenseReference:
     def test_edge_list_bytes_and_reload(self, tmp_path, n, density):
         sim, edges = oracle_graph(n, density, seed=n + 1)
         weights = build_affinity(sim, edges)
-        graph = AffinityGraph(weights=weights, normalized=normalize(weights), source="g")
+        graph = AffinityGraph(weights, "g")
         path = tmp_path / "g.txt"
         save_edge_list(graph, path)
         text = path.read_text()
@@ -442,7 +477,7 @@ class TestBulkPathsMatchDenseReference:
         edges = np.zeros((n, n), dtype=bool)
         edges[0, 1:4] = edges[1:4, 0] = True
         weights = SparseSymMatrix.from_dense(edges.astype(np.float64))
-        graph = AffinityGraph(weights=weights, normalized=normalize(weights), source="g")
+        graph = AffinityGraph(weights, "g")
         path = tmp_path / "g.txt"
         for step in (lambda: save_edge_list(graph, path), lambda: load_edge_list(path)):
             assert traced_peak(step) < 8 * n * n // 2  # an N x N float64 array would be 8 n^2 bytes
@@ -503,9 +538,9 @@ class TestEdgeListFaults:
     def test_header_beyond_physical_memory(self, tmp_path, monkeypatch):
         path = tmp_path / "g.txt"
         path.write_text("n 100\n0 1 0.5\n")
-        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 96)
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: 100 * 96)
         assert load_edge_list(path).n == 100
-        monkeypatch.setattr(pgcn.graphs, "_physical_memory_bytes", lambda: 100 * 96 - 1)
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: 100 * 96 - 1)
         with pytest.raises(DataError, match=r"n=100 needs 9600 bytes of vertex arrays"):
             load_edge_list(path)
 

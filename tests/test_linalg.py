@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pgcn.errors import DataError, ShapeError
-from pgcn.linalg import SparseSymMatrix, matmul, relu, softmax_rows, spmm
+from pgcn.linalg import SparseSymMatrix, matmul, relu, softmax_rows, spmm, spmm_blocks
 
 
 def random_symmetric_sparse(n, density, rng):
@@ -71,6 +71,29 @@ class TestSpmm:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             spmm(SparseSymMatrix.from_dense(np.eye(3)), np.zeros((4, 2)))
+
+    def test_operator_must_be_sparse_sym_matrix(self):
+        with pytest.raises(ShapeError, match="SparseSymMatrix"):
+            spmm(np.eye(3), np.zeros((3, 2)))
+
+
+class TestSpmmBlocks:
+    @pytest.mark.parametrize("widths", [[3], [2, 2, 2], [16, 2, 5]])
+    def test_each_block_bitwise_its_own_product(self, widths):
+        rng = np.random.default_rng(len(widths))
+        s, _ = random_symmetric_sparse(40, 0.3, rng)
+        blocks = [rng.normal(size=(40, w)) for w in widths]
+        out = spmm_blocks(s, blocks)
+        assert len(out) == len(blocks)
+        for got, block in zip(out, blocks):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == spmm(s, block).tobytes()
+
+    def test_dimension_mismatch(self):
+        s = SparseSymMatrix.from_dense(np.eye(3))
+        for blocks in ([np.zeros((4, 2))], [np.zeros((4, 2)), np.zeros((4, 1))]):
+            with pytest.raises(ShapeError):
+                spmm_blocks(s, blocks)
 
 
 class TestRelu:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from counting import count_spmm_calls
 
+import pgcn.errors
 import pgcn.training
 from pgcn.data import load_dataset, synth_generate, write_dataset
 from pgcn.errors import ConsistencyError, DataError, ParameterError
@@ -274,12 +275,17 @@ class TestTrain:
         with pytest.raises(ParameterError):
             train(dataset, [], self.quick_config())
 
+    def test_bare_operator_rejected(self):
+        dataset, g_info, _ = planted_setup(seed=7)
+        with pytest.raises(ParameterError, match="graph 1 is a SparseSymMatrix, not an AffinityGraph"):
+            train(dataset, [g_info, g_info.normalized], self.quick_config())
+
     def test_hidden_width_beyond_physical_memory_fails_before_init(self, monkeypatch):
         dataset, g_info, _ = planted_setup(n=60, d=8, seed=7)
         needed = (60 + 8) * 8 * 8  # one 60 x 8 hidden layer and the 8 x 8 weights, float64
-        monkeypatch.setattr(pgcn.training, "_physical_memory_bytes", lambda: needed)
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed)
         train(dataset, [g_info], self.quick_config(max_epochs=1))
-        monkeypatch.setattr(pgcn.training, "_physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
         monkeypatch.setattr(pgcn.training, "init_params", None)  # reaching it would raise TypeError
         with pytest.raises(ParameterError, match=rf"hidden_width=8 needs {needed} bytes"):
             train(dataset, [g_info], self.quick_config(max_epochs=1))
