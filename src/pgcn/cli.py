@@ -18,11 +18,9 @@ import warnings
 
 import numpy as np
 
-from .crossval import Arm
 from .data import Dataset, load_dataset, synth_generate, write_dataset
 from .errors import ConfigError, PgcnError
 from .experiments import (
-    ExperimentConfig,
     build_arm_graphs,
     load_experiment_config,
     load_graph_config,
@@ -72,8 +70,8 @@ def cmd_synth(args):
 
 
 def cmd_build_graph(args):
-    dataset = load_dataset(args.features, args.meta, args.labels)
     betas, metric = load_graph_config(args.config)
+    dataset = load_dataset(args.features, args.meta, args.labels)
     if args.element == "random":
         seed = args.seed if args.seed is not None else 0
         graph = random_graph(dataset.n_subjects, args.density, seed=seed)
@@ -89,19 +87,16 @@ def cmd_build_graph(args):
 
 
 def cmd_train(args):
-    dataset = load_dataset(args.features, args.meta, args.labels)
-    config, betas, metric, fixed_omega = load_train_config(args.config)
+    config = load_train_config(args.config, tuple(s.strip() for s in args.graphs.split(",") if s.strip()))
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    sources = tuple(s.strip() for s in args.graphs.split(",") if s.strip())
-    arm = Arm("train", sources, fixed_omega)
-    exp = ExperimentConfig(arms=(arm,), train=config, betas=betas, metric=metric)
-    (arm,) = build_arm_graphs(dataset, exp)
-    params, history = train(dataset, arm.graphs, config, fixed_omega=arm.fixed_omega)
+    dataset = load_dataset(args.features, args.meta, args.labels)
+    (arm,) = build_arm_graphs(dataset, config)
+    params, history = train(dataset, arm.graphs, config.train, fixed_omega=arm.fixed_omega)
     os.makedirs(args.out_dir, exist_ok=True)
     checkpoint_path = os.path.join(args.out_dir, "checkpoint.npz")
     history_path = os.path.join(args.out_dir, "history.csv")
-    save_checkpoint(params, config.seed, checkpoint_path)
+    save_checkpoint(params, config.train.seed, checkpoint_path)
     history.to_csv(history_path)
     last = history.records[-1]
     best = history.records[history.best_epoch - 1]
@@ -116,12 +111,12 @@ def cmd_train(args):
 
 
 def cmd_cv(args):
-    dataset = load_dataset(args.features, args.meta, args.labels)
     if args.config is None:
         raise ConfigError("cv requires --config pointing to an experiment JSON file")
     config = load_experiment_config(args.config)
     if args.seed is not None:
         config = config.with_seed(args.seed)
+    dataset = load_dataset(args.features, args.meta, args.labels)
     report = run_experiment(dataset, config, out_dir=args.out_dir)
     print(os.path.join(args.out_dir, "report.txt"))
     for result in report.arms:

@@ -14,7 +14,7 @@ from .errors import ConfigError, DegenerateInputError, ParameterError
 from .stats import accuracy, auc, paired_t_test
 from .training import split_masks, train_cohort
 
-__all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate"]
+__all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate", "derive_seed"]
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,9 @@ class CvReport:
         return "\n".join(lines) + "\n"
 
 
-def _repeat_seed(seed, repeat):
-    return int(np.random.SeedSequence((int(seed) & 0xFFFFFFFF, int(repeat))).generate_state(1)[0])
+def derive_seed(*parts):
+    """The first 32-bit word that ``numpy.random.SeedSequence(parts)`` generates, as an int."""
+    return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
 def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
@@ -160,7 +161,7 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
 
     binary = dataset.n_classes == 2
     splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
-    runs = [(_repeat_seed(config.seed, r), *splits[r]) for r in range(repeats)]
+    runs = [(derive_seed(int(config.seed) & 0xFFFFFFFF, r), *splits[r]) for r in range(repeats)]
     results = []
     histories = {}
     for arm in arms:

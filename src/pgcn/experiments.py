@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .crossval import Arm, cross_validate
+from .crossval import Arm, cross_validate, derive_seed
 from .errors import ConfigError, DataError, ParameterError, read_text
-from .graphs import CONTINUOUS, build_graph, load_edge_list, random_graph
+from .graphs import build_graph, load_edge_list, random_graph
 from .training import TrainConfig, TrainHistory
 
 __all__ = [
@@ -43,6 +43,8 @@ class ExperimentConfig:
 
     Each arm's ``graphs`` holds graph-source strings;
     :func:`build_arm_graphs` returns the arms with built graphs.
+    ``repeats`` and ``val_fraction`` are checked here, so a config that
+    cannot be cross-validated fails before any graph is built.
     """
 
     arms: tuple
@@ -62,10 +64,14 @@ class ExperimentConfig:
         for arm in self.arms:
             if not all(isinstance(s, str) for s in arm.graphs):
                 raise ConfigError(f"arm {arm.name!r}: graph sources must be strings")
+        if self.repeats < 2:
+            raise ParameterError(f"need at least 2 repeats, got {self.repeats}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ParameterError(f"validation fraction must lie in (0, 1), got {self.val_fraction}")
         object.__setattr__(self, "betas", dict(self.betas or {}))
 
     def with_seed(self, seed):
-        return replace(self, train=self.train.with_seed(seed))
+        return replace(self, train=replace(self.train, seed=int(seed)))
 
     def to_json(self):
         """Canonical JSON echo of the configuration."""
@@ -124,10 +130,12 @@ def _read_config(path, extra_keys):
     Keys other than ``betas``, ``metric`` and ``extra_keys`` are rejected,
     so ``train`` is accepted only where ``extra_keys`` names it.  Returns
     ``(payload, parsed)``; ``parsed`` holds the three values under
-    :class:`ExperimentConfig`'s field names.
+    :class:`ExperimentConfig`'s field names.  ``path=None`` reads an
+    empty object, so every value takes its default.
     """
+    text = "{}" if path is None else read_text(path, "utf-8", ConfigError)
     try:
-        payload = json.loads(read_text(path, "utf-8", ConfigError))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -160,25 +168,20 @@ def load_experiment_config(path):
     arms_entry = payload.get("arms")
     if not isinstance(arms_entry, list) or not arms_entry:
         raise ConfigError(f"{path}: 'arms' must be a nonempty list")
-    return ExperimentConfig(
-        arms=tuple(_parse_arm(e, i) for i, e in enumerate(arms_entry)),
-        repeats=_number(payload.get("repeats", 10), int, f"{path}: 'repeats'"),
-        val_fraction=_number(payload.get("val_fraction", 0.1), float, f"{path}: 'val_fraction'"),
-        **parsed,
-    )
+    counts = {key: _number(payload[key], kind, f"{path}: {key!r}")
+              for key, kind in (("repeats", int), ("val_fraction", float)) if key in payload}
+    return ExperimentConfig(arms=tuple(_parse_arm(e, i) for i, e in enumerate(arms_entry)), **counts, **parsed)
 
 
-def load_train_config(path):
-    """Parse the JSON file of ``train``.
+def load_train_config(path, sources):
+    """Parse the JSON file of ``train`` into a one-arm :class:`ExperimentConfig`.
 
-    Returns ``(train, betas, metric, fixed_omega)``; ``path=None`` gives the
-    defaults, and ``fixed_omega`` is None for a trainable ranking layer.
+    The arm, named ``"train"``, holds the graph-source strings
+    ``sources`` and the file's ``omega``.  ``path=None`` gives the defaults.
     """
-    if path is None:
-        return TrainConfig(), {}, "pearson", None
     payload, parsed = _read_config(path, {"omega", "train"})
-    fixed_omega = _parse_omega(payload.get("omega", "trainable"), path)
-    return parsed["train"], parsed["betas"], parsed["metric"], fixed_omega
+    arm = Arm("train", sources, _parse_omega(payload.get("omega", "trainable"), path))
+    return ExperimentConfig(arms=(arm,), **parsed)
 
 
 def load_graph_config(path):
@@ -186,8 +189,6 @@ def load_graph_config(path):
 
     Returns ``(betas, metric)``; ``path=None`` gives the defaults.
     """
-    if path is None:
-        return {}, "pearson"
     _, parsed = _read_config(path, set())
     return parsed["betas"], parsed["metric"]
 
@@ -196,9 +197,7 @@ def _resolve_source(dataset, source, config):
     """Build a metadata graph or load an edge-list file."""
     meta_names = {c.name for c in dataset.meta}
     if source in meta_names:
-        col = dataset.column(source)
-        beta = config.betas.get(source) if col.kind == CONTINUOUS else None
-        return build_graph(col, dataset.X, beta=beta, metric=config.metric)
+        return build_graph(dataset.column(source), dataset.X, beta=config.betas.get(source), metric=config.metric)
     if os.path.exists(source):
         graph = load_edge_list(source)
         if graph.n != dataset.n_subjects:
@@ -229,9 +228,8 @@ def build_arm_graphs(dataset, config):
         graphs = []
         for k, source in enumerate(arm.graphs):
             if source == RANDOM_SOURCE:
-                seed_parts = (config.train.seed & 0xFFFFFFFF, 7919, i, k)
-                seed = np.random.SeedSequence(seed_parts).generate_state(1)[0]
-                graphs.append(random_graph(dataset.n_subjects, density, seed=int(seed)))
+                seed = derive_seed(config.train.seed & 0xFFFFFFFF, 7919, i, k)
+                graphs.append(random_graph(dataset.n_subjects, density, seed=seed))
             else:
                 graphs.append(built[source])
         arms.append(replace(arm, graphs=graphs))

@@ -9,6 +9,7 @@ is the symmetrically normalized weight matrix with self-loops,
 ``D^{-1/2} (W + I) D^{-1/2}``.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -38,8 +39,8 @@ CONTINUOUS = "continuous"
 
 DEFAULT_BETA = 2.0
 
-# Bytes per vertex sized from an edge list's header: load_edge_list and normalize hold at most twelve
-# N-entry arrays of 8-byte values at once.
+# Bytes per vertex sized from an edge list's header: load_edge_list, and normalize when the loaded graph's
+# operator is first used, each hold at most twelve N-entry arrays of 8-byte values at once.
 EDGE_LIST_VERTEX_BYTES = 12 * 8
 
 # Bytes per vertex pair that build_graph and random_graph hold at least, one N x N float64 and one N x N
@@ -78,15 +79,17 @@ class AffinityGraph:
 
     The stored pattern of ``weights`` is the edge set: an edge whose
     clamped similarity is zero is a stored ``0.0``.  ``normalized`` is
-    computed from ``weights`` on construction, so the two always agree.
+    computed from ``weights`` on first use and kept, so the two always
+    agree and a graph that is only exported is never normalized.
     """
 
     weights: SparseSymMatrix      # W >= 0, stored exactly on the edges
     source: str
-    normalized: SparseSymMatrix = field(init=False, repr=False)   # D^{-1/2} (W + I) D^{-1/2}
 
-    def __post_init__(self):
-        object.__setattr__(self, "normalized", normalize(self.weights))
+    @functools.cached_property
+    def normalized(self):
+        """The propagation operator D^{-1/2} (W + I) D^{-1/2}."""
+        return normalize(self.weights)
 
     @property
     def edges(self):
@@ -221,7 +224,7 @@ def random_graph(n, density, seed):
 
 
 def build_graph(col, features, beta=None, metric="pearson"):
-    """Full pipeline for one metadata element: edges, weights, normalization."""
+    """Full pipeline for one metadata element: edges, then similarity weights on them."""
     _require_pair_memory(len(col), DataError)
     edges = build_edges(col, beta=beta)  # before the similarity, so the two peaks do not overlap
     weights = build_affinity(similarity_matrix(features, metric=metric), edges)
@@ -251,12 +254,14 @@ def save_edge_list(graph, path):
 
 
 def load_edge_list(path):
-    """Read a graph written by :func:`save_edge_list` and renormalize it.
+    """Read a graph written by :func:`save_edge_list`.
 
     The graph's source is the file name without its extension.  Blank
     lines are allowed anywhere.  The ``n <N>`` header is checked
     against physical memory, ``EDGE_LIST_VERTEX_BYTES`` per vertex for
-    the arrays sized from N, before anything is sized from it.  A
+    the arrays sized from N, before anything is sized from it; that
+    covers the arrays of :func:`normalize` too, which runs when the
+    graph's operator is first used rather than here.  A
     zero-weight edge is a stored zero of the weights.  A faulty file
     raises :class:`DataError` naming the 1-based file line of its first
     faulty line.

@@ -86,10 +86,6 @@ class ModelParams:
     def hidden(self):
         return self.theta0[0].shape[1]
 
-    @property
-    def n_classes(self):
-        return self.theta1[0].shape[1]
-
     def copy(self):
         return ModelParams(self.theta0, self.theta1, self.omega)
 

@@ -91,10 +91,8 @@ def paired_t_test(a, b):
 class SplitPlan:
     """One stratified train/validation partition of the labeled subjects."""
 
-    repeat: int
     train_indices: np.ndarray
     val_indices: np.ndarray
-    seed: int
 
     def __post_init__(self):
         for name in ("train_indices", "val_indices"):
@@ -126,9 +124,4 @@ def stratified_mc_split(labels, val_fraction=0.1, repeat=0, seed=0):
         n_val = min(n_val, len(members) - 1)  # keep at least one training member
         val_parts.append(shuffled[:n_val])
         train_parts.append(shuffled[n_val:])
-    return SplitPlan(
-        repeat=int(repeat),
-        train_indices=np.sort(np.concatenate(train_parts)),
-        val_indices=np.sort(np.concatenate(val_parts)),
-        seed=int(seed),
-    )
+    return SplitPlan(train_indices=np.sort(np.concatenate(train_parts)), val_indices=np.sort(np.concatenate(val_parts)))

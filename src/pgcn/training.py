@@ -11,7 +11,7 @@ validation loss and the best snapshot is returned.
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class TrainConfig:
                 raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise ParameterError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -249,8 +246,9 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     """Train on one dataset and list of :class:`~pgcn.graphs.AffinityGraph` and return the best snapshot.
 
     ``train_mask``/``val_mask`` select labeled rows for the objective and
-    for early stopping; when omitted a stratified 90/10 split of the
-    labeled subjects is derived from ``config.seed``.  ``fixed_omega``
+    for early stopping and go together: pass both or neither.  When both
+    are omitted a stratified 90/10 split of the labeled subjects is
+    derived from ``config.seed``.  ``fixed_omega``
     pins the ranking weights for the whole run (the non-trainable
     ablation); otherwise they unfreeze after the warm-up epochs.
     ``initial_params`` overrides the seeded Glorot initialization, e.g.
@@ -265,7 +263,9 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     the lowest validation loss and ``history`` records every epoch and
     why the run stopped.
     """
-    if train_mask is None and val_mask is None:
+    if (train_mask is None) != (val_mask is None):
+        raise ParameterError("train_mask and val_mask go together: pass both or neither")
+    if train_mask is None:
         train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
     ((params, history, _),) = train_cohort(dataset, graphs, config, [(config.seed, train_mask, val_mask)],
                                            fixed_omega, initial_params)
@@ -309,8 +309,8 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
 
     ``graphs`` holds :class:`~pgcn.graphs.AffinityGraph` objects, as for
     :func:`train` and :func:`grad_check`.  ``runs`` holds one ``(seed, train_mask, val_mask)`` per member.  Each
-    member trains exactly as :func:`train` would with
-    ``config.with_seed(seed)`` and its masks, leaving its cohort when
+    member trains exactly as :func:`train` would with ``seed`` as
+    ``config.seed`` and its masks, leaving its cohort when
     patience runs out, and also returns ``probs``, the predictions of its
     best epoch's evaluation forward.  A member whose validation loss is
     never finite raises :class:`ParameterError`.  ``fixed_omega`` and
@@ -326,10 +326,14 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
     labeled = np.asarray(dataset.labeled_mask, dtype=bool)
     if fixed_omega is not None:
         fixed_omega = np.asarray(fixed_omega, dtype=np.float64)
+        if fixed_omega.shape != (len(ops),):
+            raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
     if initial_params is None:
         (n, d), h = x.shape, config.hidden_width
         nbytes = (n + d) * h * 8  # one n x h hidden layer and the d x h weights
         require_memory(nbytes, ParameterError, f"hidden_width={h} needs {nbytes} bytes for one branch's first layer")
+    elif initial_params.n_branches != len(ops) or initial_params.d_in != x.shape[1]:
+        raise ConsistencyError("initial_params do not fit this dataset/graph combination")
 
     members = []
     for seed, train_mask, val_mask in runs:
@@ -345,14 +349,10 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
             raise ParameterError("train and validation masks overlap")
 
         if initial_params is not None:
-            if initial_params.n_branches != len(ops) or initial_params.d_in != x.shape[1]:
-                raise ConsistencyError("initial_params do not fit this dataset/graph combination")
             params = initial_params.copy()
         else:
             params = init_params(x.shape[1], config.hidden_width, y.shape[1], len(ops), seed=seed)
         if fixed_omega is not None:
-            if fixed_omega.shape != (len(ops),):
-                raise ParameterError(f"fixed omega needs {len(ops)} entries, got {fixed_omega.shape}")
             params.omega = fixed_omega
         members.append(_Run(seed, params, train_mask, val_mask))
 

@@ -1,7 +1,8 @@
-"""Operator-product counting shared by the test modules."""
+"""Operator-product and normalization counting shared by the test modules."""
 
 import sys
 
+import pgcn.graphs
 import pgcn.linalg
 
 
@@ -27,3 +28,16 @@ def count_spmm_calls(monkeypatch):
     for module, attr in bindings:
         monkeypatch.setattr(module, attr, counted)
     return widths
+
+
+def count_normalize(monkeypatch):
+    """Patch ``pgcn.graphs.normalize`` and return the list that receives the weights of every call."""
+    original = pgcn.graphs.normalize
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(pgcn.graphs, "normalize", counted)
+    return calls

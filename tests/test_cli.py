@@ -7,9 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from counting import count_normalize
 
 import pgcn
 import pgcn.cli
+import pgcn.experiments
 from pgcn.cli import main
 from pgcn.model import load_checkpoint
 
@@ -74,6 +76,13 @@ class TestBuildGraph:
             texts.append((out / "graph_informative.txt").read_text())
         assert texts[0] != texts[1]
 
+    @pytest.mark.parametrize("element", ["informative", "random"])
+    def test_export_never_normalizes(self, synth_dir, tmp_path, monkeypatch, element):
+        calls = count_normalize(monkeypatch)
+        assert main(["build-graph", *dataset_args(synth_dir), "--element", element,
+                     "--out-dir", str(tmp_path / "graphs")]) == 0
+        assert calls == []
+
     def test_unknown_element_is_config_error(self, synth_dir, tmp_path, capsys):
         code = main(["build-graph", *dataset_args(synth_dir),
                      "--element", "age", "--out-dir", str(tmp_path)])
@@ -82,6 +91,22 @@ class TestBuildGraph:
 
 
 class TestTrain:
+    def test_config_is_read_before_the_data(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{")
+        args = dataset_args(synth_dir)
+        args[1] = str(tmp_path / "nope.csv")
+        code = main(["train", *args, "--graphs", "informative", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        one_error_line(capsys, code, f"error:config: {cfg}: invalid JSON")
+
+    def test_each_graph_is_normalized_once(self, synth_dir, tmp_path, monkeypatch):
+        calls = count_normalize(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"max_epochs": 3, "hidden_width": 4}}))
+        assert main(["train", *dataset_args(synth_dir), "--graphs", "informative,nuisance", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert [w.dim for w in calls] == [60, 60]
+
     def test_writes_checkpoint_and_history(self, synth_dir, tmp_path):
         out = tmp_path / "run"
         cfg = tmp_path / "cfg.json"
@@ -127,9 +152,34 @@ class TestCv:
         assert (out_a / "report.txt").read_bytes() == (out_b / "report.txt").read_bytes()
 
     def test_missing_config_rejected(self, synth_dir, tmp_path, capsys):
-        code = main(["cv", *dataset_args(synth_dir), "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:config:")
+        args = dataset_args(synth_dir)
+        args[1] = str(tmp_path / "nope.csv")  # the config is checked before the data is read
+        code = main(["cv", *args, "--out-dir", str(tmp_path)])
+        one_error_line(capsys, code, "error:config: cv requires --config")
+
+    def test_seed_flag_overrides_the_configured_seed(self, synth_dir, tmp_path):
+        overridden, configured = tmp_path / "overridden", tmp_path / "configured"
+        assert main(["cv", *dataset_args(synth_dir), "--config", str(self.write_config(tmp_path, seed=9)),
+                     "--seed", "5", "--out-dir", str(overridden)]) == 0
+        assert main(["cv", *dataset_args(synth_dir), "--config", str(self.write_config(tmp_path, seed=5)),
+                     "--out-dir", str(configured)]) == 0
+        report = (overridden / "report.txt").read_bytes()
+        assert b"\nseed = 5\n" in report
+        assert report == (configured / "report.txt").read_bytes()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"repeats": 1}, "need at least 2 repeats, got 1"),
+        ({"val_fraction": 1.5}, "validation fraction must lie in (0, 1), got 1.5"),
+    ], ids=["repeats", "val_fraction"])
+    def test_split_policy_rejected_before_any_graph_is_built(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                                             setting, message):
+        built = []
+        monkeypatch.setattr(pgcn.experiments, "build_graph", lambda *args, **kwargs: built.append(args))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"arms": [{"name": "solo", "graph_sources": ["informative"]}], **setting}))
+        code = main(["cv", *dataset_args(synth_dir), "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        one_error_line(capsys, code, f"error:parameter: {message}")
+        assert built == []
 
 
 CV_ARMS = [{"name": "solo", "graph_sources": ["informative"]}]

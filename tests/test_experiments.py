@@ -10,6 +10,7 @@ from pgcn.experiments import (
     ExperimentConfig,
     build_arm_graphs,
     load_experiment_config,
+    load_train_config,
     rank_report,
     render_rank_report,
     run_experiment,
@@ -52,6 +53,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(arms=(Arm("built", (graph,)),))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("repeats", 1, "need at least 2 repeats, got 1"),
+            ("val_fraction", 1.5, r"validation fraction must lie in \(0, 1\), got 1.5"),
+            ("val_fraction", 0.0, r"validation fraction must lie in \(0, 1\), got 0.0"),
+        ],
+    )
+    def test_split_policy_checked_on_construction(self, field, value, message):
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(arms=(Arm("a", ("informative",)),), **{field: value})
+
 
 class TestBuildArmGraphs:
     def test_metadata_sources_resolve_in_order(self, dataset):
@@ -88,6 +101,11 @@ class TestBuildArmGraphs:
         path.write_text("n 3\n0 1 1\n")
         with pytest.raises(DataError):
             build_one(dataset, (str(path),))
+
+    def test_beta_of_a_categorical_source_is_not_read(self, dataset):
+        (with_beta,) = build_one(dataset, ("informative",), betas={"informative": -1.0})
+        (without,) = build_one(dataset, ("informative",))
+        np.testing.assert_array_equal(with_beta.weights.to_dense(), without.weights.to_dense())
 
     def test_continuous_beta_honored(self):
         base, _, _ = synth_generate(30, 4, seed=5)
@@ -197,6 +215,27 @@ class TestConfigFile:
         assert config.betas == {"age": 3.5}
         echoed = json.loads(config.to_json())
         assert echoed["arms"][1]["omega"] == [0.5, 0.5]
+
+    def test_absent_split_policy_takes_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"arms": [{"name": "a", "graph_sources": ["informative"]}]}))
+        assert load_experiment_config(path) == ExperimentConfig(arms=(Arm("a", ("informative",)),))
+
+    def test_train_config_defaults_are_a_one_arm_experiment(self):
+        config = load_train_config(None, ("informative", "nuisance"))
+        assert config == ExperimentConfig(arms=(Arm("train", ("informative", "nuisance")),), train=TrainConfig(),
+                                          betas={}, metric="pearson")
+
+    def test_train_config_file(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({"train": {"max_epochs": 7}, "betas": {"age": 3.0}, "metric": "cosine",
+                                    "omega": [0.25, 0.75]}))
+        config = load_train_config(path, ("informative", "nuisance"))
+        assert config.arms == (Arm("train", ("informative", "nuisance"), fixed_omega=(0.25, 0.75)),)
+        assert config.train == TrainConfig(max_epochs=7)
+        assert (config.betas, config.metric) == ({"age": 3.0}, "cosine")
+        with pytest.raises(ConfigError, match="2 fixed weights for 1 graphs"):
+            load_train_config(path, ("informative",))
 
     def test_bad_configs_rejected(self, tmp_path):
         cases = [

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+from counting import count_normalize
 from oracles import power_iteration_radius
 
 import pgcn.errors
@@ -49,6 +50,13 @@ class TestBuildEdges:
         expected = np.zeros((3, 3), dtype=bool)
         expected[0, 1] = expected[1, 0] = True
         np.testing.assert_array_equal(adj, expected)
+
+    def test_continuous_default_threshold(self):
+        assert pgcn.graphs.DEFAULT_BETA == 2.0
+        col = MetaColumn("age", "continuous", [30.0, 31.99, 34.0, 36.0])  # only 30 and 31.99 lie within 2.0
+        expected = np.zeros((4, 4), dtype=bool)
+        expected[0, 1] = expected[1, 0] = True
+        np.testing.assert_array_equal(build_edges(col), expected)
 
     def test_categorical_equality(self):
         col = MetaColumn("gender", "categorical", ["A", "B", "A"])
@@ -246,6 +254,15 @@ class TestAffinityGraph:
         assert_same_csr(graph.normalized, normalize(weights))
         with pytest.raises(TypeError):
             AffinityGraph(weights, "g", normalized=normalize(weights))
+
+    def test_operator_is_derived_once_on_first_use(self, monkeypatch):
+        calls = count_normalize(monkeypatch)
+        weights = random_weights(12, 0.5, np.random.default_rng(4))
+        graph = AffinityGraph(weights, "g")
+        assert calls == []
+        operator = graph.normalized
+        assert graph.normalized is operator
+        assert calls == [weights]
 
     @pytest.mark.parametrize("build", ["metadata", "random"])
     def test_build_beyond_physical_memory(self, monkeypatch, build):

@@ -2,26 +2,45 @@
 
 The files are parsed with ``ast`` and never run, so a renamed or deleted
 public name fails here in milliseconds instead of only when someone runs
-a demo or pastes the Quick start.
+a demo or pastes the Quick start.  Likewise every ``pgcn`` command in the
+README's shell blocks parses with the CLI's parser, and its JSON config
+examples load.
 """
 
 import ast
 import importlib
 import pathlib
 import re
+import shlex
 
 import pytest
 
+from pgcn.cli import build_parser
+from pgcn.experiments import load_experiment_config, load_train_config
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
+JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def example_sources():
     """(label, code) for each demo script and each README Python block."""
     sources = [(path.name, path.read_text(encoding="utf-8")) for path in sorted(ROOT.glob("demos/*.py"))]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sources += [(f"README.md block {i}", code) for i, code in enumerate(PYTHON_BLOCK.findall(readme))]
+    sources += [(f"README.md block {i}", code) for i, code in enumerate(PYTHON_BLOCK.findall(README))]
     return sources
+
+
+def readme_commands():
+    """The arguments of each ``pgcn`` line in the README's shell blocks, continuations joined, comments dropped."""
+    commands = []
+    for block in SH_BLOCK.findall(README):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["pgcn"]:
+                commands.append(argv[1:])
+    return commands
 
 
 def pgcn_imports(code):
@@ -66,3 +85,24 @@ def test_resolves_names_and_modules():
 def test_pgcn_imports_reads_both_import_forms():
     code = "import pgcn.cli\nimport numpy\nfrom pgcn import (Arm,\n    Nope)\nfrom .x import y\n"
     assert list(pgcn_imports(code)) == [("pgcn.cli", None), ("pgcn", "Arm"), ("pgcn", "Nope")]
+
+
+COMMANDS = readme_commands()
+
+
+def test_readme_shows_every_command():
+    assert sorted(argv[0] for argv in COMMANDS) == ["build-graph", "cv", "gradcheck", "rank-report", "synth", "train"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+def test_readme_command_parses(argv):
+    assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_config_examples_load(tmp_path):
+    experiment, train = JSON_BLOCK.findall(README)
+    (tmp_path / "experiment.json").write_text(experiment)
+    (tmp_path / "train.json").write_text(train)
+    assert [arm.name for arm in load_experiment_config(tmp_path / "experiment.json").arms] == [
+        "trainable", "fixed", "control"]
+    assert load_train_config(tmp_path / "train.json", ("informative", "nuisance")).arms[0].fixed_omega == (0.8, 0.2)

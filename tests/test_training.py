@@ -302,6 +302,28 @@ class TestTrain:
                 val_mask=np.ones(n, dtype=bool),
             )
 
+    @pytest.mark.parametrize("given", ["train_mask", "val_mask"])
+    def test_one_mask_without_the_other_rejected(self, given):
+        dataset, g_info, _ = planted_setup(seed=8)
+        masks = dict(zip(("train_mask", "val_mask"), split_masks(dataset, 0.2, 0, 3)))
+        with pytest.raises(ParameterError, match="train_mask and val_mask go together: pass both or neither"):
+            train(dataset, [g_info], self.quick_config(max_epochs=2), **{given: masks[given]})
+
+    def test_fixed_omega_of_wrong_length_rejected_before_any_run(self, monkeypatch):
+        dataset, g_info, g_nui = planted_setup(seed=8)
+        monkeypatch.setattr(pgcn.training, "init_params", None)  # reaching a run's initialization would raise TypeError
+        for runs in ([(3, *split_masks(dataset, 0.2, 0, 3))], []):
+            with pytest.raises(ParameterError, match=r"fixed omega needs 2 entries, got \(3,\)"):
+                train_cohort(dataset, [g_info, g_nui], self.quick_config(), runs, fixed_omega=(0.2, 0.3, 0.5))
+
+    @pytest.mark.parametrize("shape", ["branches", "features"])
+    def test_initial_params_that_do_not_fit_rejected_before_any_run(self, shape):
+        dataset, g_info, g_nui = planted_setup(n=60, d=8, seed=8)
+        params = init_params(8, 4, 2, 1, seed=0) if shape == "branches" else init_params(5, 4, 2, 2, seed=0)
+        for runs in ([(3, *split_masks(dataset, 0.2, 0, 3))], []):
+            with pytest.raises(ConsistencyError, match="initial_params do not fit"):
+                train_cohort(dataset, [g_info, g_nui], self.quick_config(), runs, initial_params=params)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the case under test
     def test_run_that_never_improves_is_parameter_error(self):
         dataset, g_info, _ = planted_setup(n=40, seed=1)
@@ -390,3 +412,21 @@ class TestHistoryCsv:
         bad.write_text("nope\n1,2\n")
         with pytest.raises(DataError):
             TrainHistory.from_csv(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("epoch,train_loss,val_loss,val_acc\n1,0.5,0.5,1\n", ": malformed omega columns"),
+            ("epoch,train_loss,val_loss,val_acc,omega_2\n1,0.5,0.5,1,1\n", ": malformed omega columns"),
+            ("epoch,train_loss,val_loss,val_acc,omega_1\n1,0.5,0.5,1,1\n2,0.4,0.5\n", ":3: expected 5 cells"),
+            ("epoch,train_loss,val_loss,val_acc,omega_1\n1,0.5,x,1,1\n", ":2: unparseable value"),
+            ("epoch,train_loss,val_loss,val_acc,omega_1\n", ": history has no epochs"),
+        ],
+        ids=["no-omega", "omega-misnumbered", "cell-count", "unparseable", "no-epochs"],
+    )
+    def test_faulty_file_names_its_fault(self, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(DataError) as exc:
+            TrainHistory.from_csv(bad)
+        assert str(exc.value) == f"{bad}{message}"
