@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .data import Dataset, load_dataset, synth_generate, write_dataset
-from .errors import ConfigError, PgcnError
+from .errors import ConfigError, ParameterError, PgcnError
 from .experiments import (
     build_arm_graphs,
     load_experiment_config,
@@ -241,6 +241,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:  # the active filters still apply
         try:
+            if getattr(args, "seed", None) is not None and args.seed < 0:  # every generator takes seeds >= 0
+                raise ParameterError(f"--seed must be >= 0, got {args.seed}")
             status = args.func(args)
         except PgcnError as exc:
             print(f"error:{exc.code}: {exc}", file=sys.stderr)

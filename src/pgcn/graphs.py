@@ -205,9 +205,12 @@ def normalize(w):
                         "normalization needs positive degrees")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     a = w.scipy() + scipy.sparse.identity(w.dim, format="csr")
-    rows = np.repeat(np.arange(w.dim), np.diff(a.indptr))
+    indptr, indices, data = a.indptr, a.indices, a.data
+    del a  # the sum is ours: scale its values in place, one full-length temporary at a time
     # (W + I)_ij * s_i * s_j, multiplied in that order
-    return SparseSymMatrix(w.dim, a.indptr, a.indices, a.data * inv_sqrt[rows] * inv_sqrt[a.indices])
+    data *= np.repeat(inv_sqrt, np.diff(indptr))
+    data *= inv_sqrt[indices]
+    return SparseSymMatrix(w.dim, indptr, indices, data)
 
 
 def random_graph(n, density, seed):

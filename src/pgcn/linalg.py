@@ -4,13 +4,13 @@ Dense matrices are plain 2-D ``numpy.ndarray`` objects in float64;
 :class:`SparseSymMatrix` stores symmetric operators (graph adjacencies and
 their normalized forms) in compressed sparse row layout.  Everything here
 is a pure function of its inputs: arrays handed to constructors are copied
-and frozen.
+and frozen, and the product plan an operator keeps is derived from them.
 """
 
 import numpy as np
 import scipy.sparse
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, require_memory
 
 __all__ = [
     "SparseSymMatrix",
@@ -24,6 +24,10 @@ __all__ = [
 
 # Value tolerance when checking that a sparse matrix is symmetric.
 SYMMETRY_TOL = 1e-12
+
+# Products go through the dense diagonal blocks of an operator's connected components when its stored entries
+# fill at least this share of the blocks' cells; sparser operators keep the CSR product.
+DENSE_BLOCK_FILL = 0.2
 
 
 def as_dense(a, name="matrix"):
@@ -57,24 +61,43 @@ def softmax_rows(a):
 
 
 def spmm(s, b):
-    """Sparse-dense product ``s @ b`` for a symmetric sparse operator."""
+    """Sparse-dense product ``s @ b`` for a symmetric sparse operator, by the operator's product plan.
+
+    An operator's first product labels its connected components.  When its
+    stored entries fill at least ``DENSE_BLOCK_FILL`` of their dense
+    diagonal blocks, and the blocks fit in physical memory, the operator
+    keeps those blocks and every product is one dense GEMM per run of
+    equal-sized blocks (one plain dense GEMM when one component spans the
+    operator); otherwise it is scipy's CSR product.  The two sum each row
+    in another order, so they agree to within rounding, and one operator
+    always takes the same path.
+    """
     if not isinstance(s, SparseSymMatrix):
         raise ShapeError("spmm expects a SparseSymMatrix on the left")
     b = as_dense(b, "right operand")
     if s.dim != b.shape[0]:
         raise ShapeError(f"cannot multiply sparse ({s.dim}, {s.dim}) by {b.shape}")
-    return s.scipy() @ b
+    plan = s._product_plan()
+    if not isinstance(plan, tuple):  # the CSR matrix, or the whole operator as one dense block
+        return plan @ b
+    out = np.empty(b.shape)
+    for rows, blocks in plan:
+        out[rows] = blocks @ b[rows]
+    return out
 
 
 def spmm_blocks(s, blocks):
-    """``[spmm(s, block) for block in blocks]`` from one product over the blocks laid side by side.
+    """``[spmm(s, block) for block in blocks]``, every block bitwise equal to its own product.
 
-    A CSR product computes each output column from its own input column
-    alone, so every block comes back bitwise equal to ``spmm(s, block)``,
-    split back into contiguous arrays.
+    On an operator whose plan is the CSR product, this is one product over
+    the blocks laid side by side: a CSR product computes each output column
+    from its own input column alone, so splitting the result back into
+    contiguous arrays gives each block's own product.  A dense GEMM over
+    side-by-side blocks is not bitwise stable across widths, so on an
+    operator planned as dense blocks every block gets its own ``spmm``.
     """
-    if len(blocks) == 1:
-        return [spmm(s, blocks[0])]
+    if len(blocks) == 1 or not scipy.sparse.issparse(s._product_plan()):
+        return [spmm(s, block) for block in blocks]
     wide = spmm(s, np.hstack(blocks))
     bounds = np.cumsum([b.shape[1] for b in blocks[:-1]])
     return [np.ascontiguousarray(part) for part in np.hsplit(wide, bounds)]
@@ -89,7 +112,7 @@ class SparseSymMatrix:
     underlying arrays are frozen after validation.
     """
 
-    __slots__ = ("dim", "_csr")
+    __slots__ = ("dim", "_csr", "_plan")
 
     def __init__(self, dim, indptr, indices, data):
         self.dim = int(dim)
@@ -100,6 +123,7 @@ class SparseSymMatrix:
         _validate_symmetry(self._csr)
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
+        self._plan = None
 
     @classmethod
     def from_dense(cls, a):
@@ -134,6 +158,12 @@ class SparseSymMatrix:
         """Expand to a dense array."""
         return self._csr.toarray()
 
+    def _product_plan(self):
+        """What :func:`spmm` multiplies by, made on the first product and kept; see :func:`_plan_products`."""
+        if self._plan is None:
+            self._plan = _plan_products(self._csr)
+        return self._plan
+
     def row_sums(self):
         sums = np.zeros(self.dim)
         rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
@@ -142,6 +172,77 @@ class SparseSymMatrix:
 
     def __repr__(self):
         return f"SparseSymMatrix(dim={self.dim}, nnz={self.nnz})"
+
+
+def _plan_products(csr):
+    """The CSR matrix, the whole operator as one dense array, or ``(rows, blocks)`` runs of dense blocks.
+
+    Components are ranked by size, then by smallest vertex, and their
+    blocks scattered into one flat buffer, so the components of one size
+    form one run: ``rows`` is a ``(c, k)`` array of each component's
+    vertices in ascending order and ``blocks`` the ``(c, k, k)`` stack of
+    their diagonal blocks, both read-only views.
+    """
+    n = csr.shape[0]
+    _, component, sizes = np.unique(_component_labels(csr.indptr, csr.indices), return_inverse=True,
+                                    return_counts=True)
+    cells = int(np.sum(sizes * sizes))
+    if not n or csr.nnz < DENSE_BLOCK_FILL * cells:
+        return csr
+    try:
+        require_memory(8 * cells, DataError, "dense diagonal blocks")
+    except DataError:
+        return csr
+    if len(sizes) == 1:
+        return csr.toarray()
+    by_size = np.argsort(sizes, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(len(sizes))
+    sizes = sizes[by_size]
+    vertex_rank = rank[component]
+    order = np.argsort(vertex_rank, kind="stable")  # vertices by component rank, ascending within one
+    starts = np.cumsum(sizes) - sizes               # each component's first place in order
+    place = np.empty(n, dtype=np.intp)              # each vertex's place inside its component
+    place[order] = np.arange(n) - np.repeat(starts, sizes)
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    flat = np.zeros(cells)
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    ranks = vertex_rank[rows]
+    flat[offsets[ranks] + place[rows] * sizes[ranks] + place[csr.indices]] = csr.data
+    for arr in (order, flat):
+        arr.setflags(write=False)
+    plan = []
+    for k in np.unique(sizes):
+        lo, hi = np.searchsorted(sizes, [k, k + 1])
+        c = hi - lo
+        plan.append((order[starts[lo]:starts[lo] + c * k].reshape(c, k),
+                     flat[offsets[lo]:offsets[lo] + c * k * k].reshape(c, k, k)))
+    return tuple(plan)
+
+
+def _component_labels(indptr, indices):
+    """Each vertex's connected component in a symmetric pattern, named by the component's smallest vertex.
+
+    Min-label propagation with pointer jumping: a vertex takes the smallest
+    label among itself and its neighbours, then every label is replaced by
+    its own label until none changes.  A label is always a vertex of the
+    same component and never larger than the vertex it labels, so when a
+    round changes nothing each component carries its smallest vertex.
+    """
+    labels = np.arange(len(indptr) - 1, dtype=indices.dtype)
+    # reduceat over empty rows would hand each one the next row's first entry, so reduce the others only
+    filled = np.flatnonzero(indptr[:-1] < indptr[1:])
+    starts = indptr[filled]
+    while True:
+        low = labels.copy()
+        if filled.size:
+            low[filled] = np.minimum(low[filled], np.minimum.reduceat(labels[indices], starts))
+        jumped = low[low]
+        while not np.array_equal(jumped, low):
+            low, jumped = jumped, jumped[jumped]
+        if np.array_equal(low, labels):
+            return labels
+        labels = low
 
 
 def _validate_structure(n, indptr, indices, data):

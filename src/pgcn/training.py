@@ -89,6 +89,8 @@ class TrainConfig:
                 raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise ParameterError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 import sys
 
+import numpy as np
+import scipy.sparse
+
 import pgcn.graphs
 import pgcn.linalg
 
@@ -41,3 +44,25 @@ def count_normalize(monkeypatch):
 
     monkeypatch.setattr(pgcn.graphs, "normalize", counted)
     return calls
+
+
+def planned_graphs(graphs, plan, monkeypatch):
+    """Copies of ``graphs`` whose operators take the product plan ``plan``, ``"blocks"`` or ``"csr"``.
+
+    The copies derive their operators afresh, so no plan made before is
+    reused; ``"csr"`` raises ``DENSE_BLOCK_FILL`` out of reach for the rest
+    of the test.
+    """
+    if plan == "csr":
+        monkeypatch.setattr(pgcn.linalg, "DENSE_BLOCK_FILL", np.inf)
+    copies = [pgcn.graphs.AffinityGraph(g.weights, g.source) for g in graphs]
+    assert {plan_kind(g.normalized) != "csr" for g in copies} == {plan == "blocks"}
+    return copies
+
+
+def plan_kind(s):
+    """The product plan ``spmm`` takes for operator ``s``: ``"csr"``, ``"whole"`` (one dense block) or ``"blocks"``."""
+    plan = s._product_plan()
+    if scipy.sparse.issparse(plan):
+        return "csr"
+    return "whole" if isinstance(plan, np.ndarray) else "blocks"

@@ -366,15 +366,64 @@ class TestRankReport:
         assert capsys.readouterr().err.startswith("error:data:")
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs most of the package's import time, and every CLI call pays it
+def loaded_in_fresh_process(module, code="import pgcn.cli"):
+    """Whether ``module`` is in ``sys.modules`` after ``code`` runs in a fresh interpreter on this checkout."""
     src = os.path.dirname(os.path.dirname(pgcn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", "import pgcn.cli, sys; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of the package's import time, and every CLI call pays it
+    assert not loaded_in_fresh_process("scipy.stats")
+
+
+def test_cli_import_and_operator_products_do_not_load_csgraph():
+    # scipy.sparse.csgraph would add about 50 ms and 8 MB to every call; spmm labels components in numpy
+    assert not loaded_in_fresh_process("scipy.sparse.csgraph")
+    products = ("import pgcn.cli, numpy as np\nfrom pgcn.graphs import random_graph\nfrom pgcn.linalg import spmm\n"
+                "for density in (0.05, 0.5):\n"
+                "    spmm(random_graph(60, density, seed=1).normalized, np.ones((60, 2)))")
+    assert not loaded_in_fresh_process("scipy.sparse.csgraph", products)
+
+
+NEGATIVE_SEEDS = [-1, *(-int(s) for s in np.random.default_rng(23).integers(2, 2**40, size=2))]
+
+
+@pytest.mark.parametrize("seed", NEGATIVE_SEEDS)
+@pytest.mark.parametrize("command", ["synth", "build-graph", "train", "cv", "gradcheck"])
+def test_negative_seed_flag_is_one_parameter_error(synth_dir, tmp_path, capsys, command, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arms": CV_ARMS, "train": {"max_epochs": 2}}))
+    extra = {
+        "synth": ["--n", "20"],
+        "build-graph": [*dataset_args(synth_dir), "--element", "random"],
+        "train": [*dataset_args(synth_dir), "--graphs", "informative"],
+        "cv": [*dataset_args(synth_dir), "--config", str(cfg)],
+        "gradcheck": ["--count", "1"],
+    }[command]
+    out = [] if command == "gradcheck" else ["--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    code = main([command, *extra, *out, "--seed", str(seed)])
+    one_error_line(capsys, code, f"error:parameter: --seed must be >= 0, got {seed}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", NEGATIVE_SEEDS)
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_negative_configured_seed_is_one_parameter_error(synth_dir, tmp_path, capsys, command, seed):
+    cfg = tmp_path / "cfg.json"
+    payload = {"train": {"seed": seed, "max_epochs": 2}}
+    cfg.write_text(json.dumps({"arms": CV_ARMS, **payload} if command == "cv" else payload))
+    extra = ["--graphs", "informative"] if command == "train" else []
+    capsys.readouterr()
+    code = main([command, *dataset_args(synth_dir), *extra, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    one_error_line(capsys, code, f"error:parameter: seed must be >= 0, got {seed}")
+    assert not (tmp_path / "out").exists()
 
 
 def write_with_byte(path, source, line, byte):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from counting import count_spmm_calls
+from counting import count_spmm_calls, planned_graphs
 
 import pgcn.crossval
 import pgcn.training
@@ -130,12 +130,20 @@ class TestCohorts:
 
     def test_one_product_per_branch_and_stage_per_cohort(self, setup, monkeypatch):
         dataset, g_info, g_nui = setup
-        arms = [Arm("pair", (g_info, g_nui)), Arm("single", (g_nui,), fixed_omega=(1.0,))]
         epochs = 6
         config = quick_config(hidden_width=16, max_epochs=epochs, early_stop_patience=epochs)
         calls = count_spmm_calls(monkeypatch)
-        cross_validate(dataset, arms, config, repeats=5)  # cohorts of 64 // 16 = 4 and 1 repeats
-        branches, cohorts = 2 + 1, 2
-        # per branch and cohort: six products an epoch, and none to score the best epoch
-        assert len(calls) == branches * cohorts * 6 * epochs
-        assert max(calls) == 64
+        branches, repeats, cohorts = 2 + 1, 5, 2  # cohorts of 64 // 16 = 4 and 1 repeats
+        for plan in ("blocks", "csr"):
+            info, nui = planned_graphs((g_info, g_nui), plan, monkeypatch)
+            arms = [Arm("pair", (info, nui)), Arm("single", (nui,), fixed_omega=(1.0,))]
+            calls.clear()
+            cross_validate(dataset, arms, config, repeats=repeats)
+            # six products an epoch and none to score the best epoch: on dense blocks one per member,
+            # on CSR one over the cohort's members side by side
+            if plan == "blocks":
+                assert len(calls) == branches * repeats * 6 * epochs
+                assert max(calls) == 16
+            else:
+                assert len(calls) == branches * cohorts * 6 * epochs
+                assert max(calls) == 64

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from counting import plan_kind
+from scipy.sparse.csgraph import connected_components  # a test-only oracle: the package never imports it
 
+import pgcn.errors
 from pgcn.errors import DataError, ShapeError
-from pgcn.linalg import SparseSymMatrix, matmul, relu, softmax_rows, spmm, spmm_blocks
+from pgcn.graphs import MetaColumn, build_graph
+from pgcn.linalg import SparseSymMatrix, _component_labels, matmul, relu, softmax_rows, spmm, spmm_blocks
 
 
 def random_symmetric_sparse(n, density, rng):
@@ -81,19 +85,112 @@ class TestSpmmBlocks:
     @pytest.mark.parametrize("widths", [[3], [2, 2, 2], [16, 2, 5]])
     def test_each_block_bitwise_its_own_product(self, widths):
         rng = np.random.default_rng(len(widths))
-        s, _ = random_symmetric_sparse(40, 0.3, rng)
-        blocks = [rng.normal(size=(40, w)) for w in widths]
-        out = spmm_blocks(s, blocks)
-        assert len(out) == len(blocks)
-        for got, block in zip(out, blocks):
-            assert got.flags.c_contiguous
-            assert got.tobytes() == spmm(s, block).tobytes()
+        n = 200
+        operators = [random_symmetric_sparse(n, 0.3, rng)[0], operator_of_kind("categorical", n, rng),
+                     operator_of_kind("random", n, rng)]
+        assert [plan_kind(s) for s in operators] == ["whole", "blocks", "csr"]
+        for s in operators:
+            blocks = [rng.normal(size=(n, w)) for w in widths]
+            out = spmm_blocks(s, blocks)
+            assert len(out) == len(blocks)
+            for got, block in zip(out, blocks):
+                assert got.flags.c_contiguous
+                assert got.tobytes() == spmm(s, block).tobytes()
 
     def test_dimension_mismatch(self):
         s = SparseSymMatrix.from_dense(np.eye(3))
         for blocks in ([np.zeros((4, 2))], [np.zeros((4, 2)), np.zeros((4, 1))]):
             with pytest.raises(ShapeError):
                 spmm_blocks(s, blocks)
+
+
+def operator_of_kind(kind, n, rng):
+    """A random symmetric operator whose components have the shape ``kind`` names.
+
+    ``categorical``: about half of the pairs within each of four codes;
+    ``random``: sparse enough to split into many components; ``band``:
+    pairs of sorted values less than a threshold apart; ``singleton``:
+    a diagonal; ``empty-row``: a sparse graph with no diagonal where a
+    third of the rows, the first and the last among them, are empty.
+    Every kind but ``empty-row`` has a positive diagonal, as a
+    normalized operator does.
+    """
+    if kind == "categorical":
+        codes = rng.integers(0, 4, n)
+        adj = (codes[:, None] == codes[None, :]) & (rng.random((n, n)) < 0.5)
+    elif kind == "random":
+        adj = rng.random((n, n)) < 1.5 / n
+    elif kind == "band":
+        values = rng.random(n)
+        adj = np.abs(values[:, None] - values[None, :]) < 4.0 / n
+    elif kind == "singleton":
+        adj = np.zeros((n, n), dtype=bool)
+    else:
+        adj = rng.random((n, n)) < 0.1
+        empty = rng.random(n) < 1 / 3
+        empty[[0, -1]] = True
+        adj[empty] = False
+        adj[:, empty] = False
+    adj = np.triu(adj, k=1)
+    weights = np.triu(rng.random((n, n)), k=1)
+    dense = np.where(adj | adj.T, weights + weights.T, 0.0)
+    if kind != "empty-row":
+        dense += np.diag(0.5 + rng.random(n))
+    return SparseSymMatrix.from_dense(dense)
+
+
+KINDS = ["categorical", "random", "band", "singleton", "empty-row"]
+
+
+class TestProductPlan:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_labels_match_csgraph(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for n in (1, 2, 7, 40, 150):
+            s = operator_of_kind(kind, n, rng)
+            _, component = connected_components(s.scipy(), directed=False)
+            # the oracle numbers components in order of first vertex, so its smallest vertex names each one
+            smallest = np.flatnonzero(np.r_[True, np.diff(np.maximum.accumulate(component)) > 0])
+            assert _component_labels(s.indptr, s.indices).tolist() == smallest[component].tolist(), n
+
+    def test_labels_of_a_long_path_converge(self):
+        n = 5000
+        up = np.arange(n - 1)
+        s = SparseSymMatrix(n, np.r_[0, np.cumsum(np.bincount(np.r_[up, up + 1], minlength=n))],
+                            np.column_stack([np.r_[-1, up], np.r_[up + 1, -1]]).ravel()[1:-1], np.ones(2 * n - 2))
+        assert not _component_labels(s.indptr, s.indices).any()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_product_matches_csr_within_rounding(self, kind):
+        rng = np.random.default_rng(10 + KINDS.index(kind))
+        for n in (1, 7, 40, 150):
+            s = operator_of_kind(kind, n, rng)
+            b = rng.normal(size=(n, 5))
+            csr = s.scipy() @ b
+            assert np.max(np.abs(spmm(s, b) - csr)) <= 1e-13 * max(1.0, np.max(np.abs(csr)))
+            assert s._product_plan() is s._product_plan()  # made once and kept
+
+    @pytest.mark.parametrize("column, kind", [("age", "csr"), ("site", "blocks"), ("dx", "blocks"),
+                                              ("sex", "blocks")])
+    def test_fill_rule_picks_the_path(self, column, kind):
+        # the metadata graphs of the sparse benchmark workload at a fifth of its size: a band graph of
+        # ages 1.6 years apart (its blocks about 3% full) stays CSR; 20- and 2-code graphs go dense
+        rng = np.random.default_rng(31)
+        n = 600
+        values = {"age": 20.0 + 60.0 * rng.random(n), "site": rng.integers(0, 20, n),
+                  "dx": rng.integers(0, 20, n), "sex": rng.integers(0, 2, n)}[column]
+        col = MetaColumn(column, "continuous" if column == "age" else "categorical", values)
+        op = build_graph(col, rng.normal(size=(n, 10)), beta=1.6).normalized
+        assert plan_kind(op) == kind
+
+    def test_blocks_beyond_physical_memory_keep_csr(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        s = operator_of_kind("categorical", 40, rng)
+        _, sizes = np.unique(_component_labels(s.indptr, s.indices), return_counts=True)
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: 8 * int(np.sum(sizes * sizes)) - 1)
+        assert plan_kind(s) == "csr"
+        b = rng.normal(size=(40, 3))
+        assert spmm(s, b).tobytes() == (s.scipy() @ b).tobytes()
 
 
 class TestRelu:
