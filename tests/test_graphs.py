@@ -274,17 +274,42 @@ class TestAffinityGraph:
 
     @pytest.mark.parametrize("build", ["metadata", "random"])
     def test_build_beyond_physical_memory(self, monkeypatch, build):
-        n = 100
-        needed = 9 * n * n  # one N x N float64 and one N x N bool
-        col = MetaColumn("site", "categorical", np.arange(n) % 3)
-        x = np.random.default_rng(0).normal(size=(n, 4))
-        error = DataError if build == "metadata" else ParameterError
-        step = (lambda: build_graph(col, x)) if build == "metadata" else (lambda: random_graph(n, 0.1, seed=0))
+        n, d = 100, 4
+        col = MetaColumn("site", "categorical", np.arange(n) % 3)  # codes held by 34, 33 and 33 subjects
+        x = np.random.default_rng(0).normal(size=(n, d))
+        if build == "metadata":
+            entries = 34 * 33 + 2 * 33 * 32  # each subject's code-mates, every edge counted from both ends
+            # every subject's run (itself and its code-mates), one block of products (n < 256 rows), centred features
+            needed = (entries + n) * pgcn.graphs._BUILD_ENTRY_BYTES + 8 * n * n + 8 * n * d
+            error, need = DataError, rf"n={n} with {entries} edge entries needs {needed} bytes to build a graph"
+            step = lambda: build_graph(col, x)  # noqa: E731
+        else:
+            needed = 9 * n * n  # one N x N float64 and one N x N bool
+            error, need = ParameterError, rf"n={n} needs {needed} bytes of N x N arrays"
+            step = lambda: random_graph(n, 0.1, seed=0)  # noqa: E731
         monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed)
         assert step().n == n
         monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
-        with pytest.raises(error, match=rf"n={n} needs {needed} bytes of N x N arrays"):
+        monkeypatch.setattr(pgcn.graphs, "_edge_pairs", forbidden)  # refused before any array is sized by the edges
+        with pytest.raises(error, match=need):
             step()
+
+    @pytest.mark.parametrize("kind", ["categorical", "continuous"])
+    def test_build_peak_is_bounded_per_edge_entry(self, kind):
+        n, d = 20_000, 4
+        rng = np.random.default_rng(3)
+        # about 10 subjects a run either way
+        values = rng.integers(0, 2000, n) if kind == "categorical" else rng.uniform(20.0, 80.0, n)
+        col, x = MetaColumn("site", kind, values), rng.normal(size=(n, d))
+        peak = traced_peak(lambda: build_graph(col, x, beta=0.015))
+        entries = build_graph(col, x, beta=0.015).weights.nnz
+        bound = (entries + n) * pgcn.graphs._BUILD_ENTRY_BYTES + 8 * n * 256 + 8 * n * d  # the preflight's count
+        assert peak < bound
+        assert bound < 8 * n * n / 50  # one N x N float64 is 3.2 GB
+
+
+def forbidden(*args):
+    raise AssertionError("called after the memory check failed")
 
 
 class TestRandomGraph:
@@ -508,6 +533,68 @@ class TestBulkPathsMatchDenseReference:
             assert traced_peak(step) < 8 * n * n // 2  # an N x N float64 array would be 8 n^2 bytes
 
 
+def dense_rule_edges(col, beta):
+    """The literal N x N edge rules the pair path replaced, kept as its oracle."""
+    v = col.values
+    adj = np.abs(v[:, None] - v[None, :]) < beta if col.kind == "continuous" else v[:, None] == v[None, :]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def oracle_column(case, n, rng):
+    """``(column, beta)`` for one named case of the edge-rule oracle."""
+    if case == "one-code":
+        return MetaColumn("c", "categorical", ["a"] * n), None
+    if case == "singletons":
+        return MetaColumn("c", "categorical", rng.permutation(n)), None
+    if case == "many-codes":
+        return MetaColumn("c", "categorical", [f"s{k}" for k in rng.integers(0, max(2, n // 8), n)]), None
+    if case == "ties":
+        return MetaColumn("c", "continuous", rng.integers(0, 12, n).astype(float)), 2.0
+    if case == "negative":
+        return MetaColumn("c", "continuous", rng.normal(-3.0, 2.0, n)), 0.7
+    if case == "gap-equal-beta":  # 0.1 apart on a grid: fl(b - a) falls on either side of 0.1
+        return MetaColumn("c", "continuous", rng.integers(-20, 20, n) * 0.1), 0.1
+    assert case == "near-1e12"  # beta is below the values' ulp, so only equal values are within it
+    return MetaColumn("c", "continuous", 1e12 + rng.integers(0, 4, n) * 2.0 ** -13), 1e-5
+
+
+ORACLE_CASES = ("one-code", "singletons", "many-codes", "ties", "negative", "gap-equal-beta", "near-1e12")
+
+
+class TestEdgePairsMatchDenseRules:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("n", [2, 7, 300, 513])
+    def test_edges(self, case, n):
+        col, beta = oracle_column(case, n, np.random.default_rng([n, len(case)]))
+        np.testing.assert_array_equal(build_edges(col, beta=beta), dense_rule_edges(col, beta))
+
+    @pytest.mark.parametrize("metric", ["pearson", "cosine"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("n, d", [(2, 3), (7, 2), (300, 5), (513, 6)])
+    def test_build_graph_equals_the_dense_chain(self, metric, case, n, d):
+        rng = np.random.default_rng([n, d, len(case)])
+        col, beta = oracle_column(case, n, rng)
+        x = rng.normal(size=(n, d))
+        graph = build_graph(col, x, beta=beta, metric=metric)
+        dense = build_affinity(similarity_matrix(x, metric=metric), dense_rule_edges(col, beta))
+        assert_same_csr(graph.weights, dense)
+        w = graph.weights.to_dense()
+        assert w.tobytes() == w.T.tobytes()  # symmetric to the bit
+
+    @pytest.mark.parametrize("n, d", [(777, 5), (500, 2), (1500, 300), (1000, 64)])
+    def test_similarity_within_two_eps_of_corrcoef(self, n, d):
+        x = np.random.default_rng([n, d]).normal(size=(n, d))
+        eps = np.finfo(np.float64).eps
+        reference = np.clip(np.corrcoef(x), -1.0, 1.0)
+        np.fill_diagonal(reference, 1.0)
+        np.testing.assert_allclose(similarity_matrix(x), reference, rtol=0, atol=2 * eps)
+        unit = x / np.linalg.norm(x, axis=1)[:, None]
+        reference = np.clip(unit @ unit.T, -1.0, 1.0)
+        np.fill_diagonal(reference, 1.0)
+        np.testing.assert_allclose(similarity_matrix(x, metric="cosine"), reference, rtol=0, atol=2 * eps)
+
+
 class TestEdgeListFaults:
     @pytest.mark.parametrize(
         "body, message",
@@ -576,41 +663,44 @@ class TestEdgeListFaults:
             load_edge_list(path)
 
     def test_bulk_parse_accepts_exactly_the_files_without_a_faulty_line(self, monkeypatch):
-        class Rejected(Exception):
-            pass
-
-        def rejected(*args):
-            raise Rejected
-
-        first_fault = pgcn.graphs._first_fault
-        monkeypatch.setattr(pgcn.graphs, "_first_fault", rejected)
+        scan = pgcn.graphs._scan_edges
+        scanned = []
+        monkeypatch.setattr(pgcn.graphs, "_scan_edges", lambda *args: scanned.append(args) or scan(*args))
         rng = np.random.default_rng(12)
-        accepted = 0
+        paths = {"bulk": 0, "scan": 0, "fault": 0}
         for _ in range(MUTANT_EDGE_BODIES):
             n, body = mutant_edge_body(rng)
+            scanned.clear()
             try:
-                first_fault("g.txt", 2, body, n)
-            except DataError:
-                faulty = True
-            except AssertionError:  # the line-by-line scan found no faulty line
-                faulty = False
-            try:
-                i, j, weight = pgcn.graphs._parse_edges("g.txt", 2, body, n)
-            except Rejected:
-                assert faulty, body  # so a rejected file never reaches the AssertionError
+                scan("g.txt", 2, body, n)
+            except DataError as fault:  # the line-by-line scan names a faulty line: the bulk step must not accept
+                with pytest.raises(DataError) as exc:
+                    pgcn.graphs._parse_edges("g.txt", 2, body, n)
+                assert str(exc.value) == str(fault), body
+                paths["fault"] += 1
                 continue
-            assert not faulty, body
+            i, j, weight = pgcn.graphs._parse_edges("g.txt", 2, body, n)
             fields = [line.split() for line in body if line.split()]
-            assert i.tolist() == [int(f[0]) for f in fields] and j.tolist() == [int(f[1]) for f in fields]
-            assert weight.tobytes() == np.array([float(f[2]) for f in fields]).tobytes()
-            accepted += 1
-        assert 0.25 < accepted / MUTANT_EDGE_BODIES < 0.75  # both paths are exercised
+            assert i.tolist() == [int(f[0]) for f in fields] and j.tolist() == [int(f[1]) for f in fields], body
+            assert weight.tobytes() == np.array([float(f[2]) for f in fields]).tobytes(), body
+            paths["scan" if scanned else "bulk"] += 1
+        assert min(paths.values()) > 0.025 * MUTANT_EDGE_BODIES, paths  # every path is exercised
+
+    @pytest.mark.parametrize("text", ["n 3", "n 3\n", "n 3\n\n  \n\t\n\x0c\n"],
+                             ids=["header", "newline", "blank-lines"])
+    def test_edge_free_file_loads_without_warning(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = load_edge_list(path)
+        assert graph.n == 3 and graph.edge_count == 0
 
 
 MUTANT_EDGE_BODIES = 2000
-# Tokens where numpy's string casts and int()/float() could part ways, plus plain faults.
+# Tokens where np.loadtxt and int()/float() could part ways, plus plain faults.
 EDGE_TOKENS = ("1_0", "+.5", "1e400", "nan", "inf", "-0", "1.0", "0x1", "-1", "1e3",
-               "9223372036854775808", "99999999999999999999", "x")
+               "9223372036854775808", "99999999999999999999", "x", "#", "\t", "\x0c", "\x1c", "\r")
 
 
 def mutant_edge_body(rng):
