@@ -139,11 +139,11 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
 
     Returns a :class:`CvReport`; per-repeat training trajectories are
     kept under ``report.histories[(arm_name, repeat)]``.  An arm's
-    repeats train in lockstep in one :func:`~pgcn.training.train_cohort`
-    call, and each repeat is scored on the probabilities of its best
-    epoch's evaluation forward: each branch runs ``6 * epochs`` operator
-    products per cohort, at widths R*h and R*K for R members, and every
-    repeat's numbers are bitwise those of training it alone.  Pairwise
+    repeats train one after another in one
+    :func:`~pgcn.training.train_cohort` call, and each repeat is scored on
+    the probabilities of its best epoch's evaluation forward: each branch
+    runs six operator products per epoch of each repeat, at widths h and
+    K, and none to score.  Pairwise
     t-tests run on accuracy.  A pair whose per-repeat accuracy
     differences have zero variance, identical accuracies or the same
     nonzero difference in every repeat, has no t statistic: it is

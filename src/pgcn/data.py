@@ -59,9 +59,13 @@ class Dataset:
         one_hot = np.isin(self.Y, (0.0, 1.0)).all() and np.all(self.Y.sum(axis=1) == 1.0)
         if not one_hot:
             raise DataError("every label row must be one-hot")
+        names = set()
         for col in self.meta:
             if len(col) != n:
                 raise DataError(f"metadata column {col.name!r} has {len(col)} rows for {n} subjects")
+            if col.name in names:
+                raise DataError(f"two metadata columns are named {col.name!r}")
+            names.add(col.name)
 
     @property
     def n_subjects(self):

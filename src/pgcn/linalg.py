@@ -17,7 +17,6 @@ __all__ = [
     "as_dense",
     "matmul",
     "spmm",
-    "spmm_blocks",
     "relu",
     "softmax_rows",
 ]
@@ -84,23 +83,6 @@ def spmm(s, b):
     for rows, blocks in plan:
         out[rows] = blocks @ b[rows]
     return out
-
-
-def spmm_blocks(s, blocks):
-    """``[spmm(s, block) for block in blocks]``, every block bitwise equal to its own product.
-
-    On an operator whose plan is the CSR product, this is one product over
-    the blocks laid side by side: a CSR product computes each output column
-    from its own input column alone, so splitting the result back into
-    contiguous arrays gives each block's own product.  A dense GEMM over
-    side-by-side blocks is not bitwise stable across widths, so on an
-    operator planned as dense blocks every block gets its own ``spmm``.
-    """
-    if len(blocks) == 1 or not scipy.sparse.issparse(s._product_plan()):
-        return [spmm(s, block) for block in blocks]
-    wide = spmm(s, np.hstack(blocks))
-    bounds = np.cumsum([b.shape[1] for b in blocks[:-1]])
-    return [np.ascontiguousarray(part) for part in np.hsplit(wide, bounds)]
 
 
 class SparseSymMatrix:

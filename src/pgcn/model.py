@@ -16,12 +16,13 @@ contributes to the prediction.  Backward passes are hand-derived; the
 softmax/cross-entropy pair collapses to (Y_hat - Y) / L on labeled rows.
 """
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError, ShapeError
-from .linalg import as_dense, relu, softmax_rows, spmm_blocks
+from .errors import DataError, ParameterError, ShapeError
+from .linalg import as_dense, relu, softmax_rows, spmm
 
 __all__ = [
     "ModelParams",
@@ -31,9 +32,7 @@ __all__ = [
     "branch_forward",
     "rank_combine",
     "forward",
-    "forward_cohort",
     "backward",
-    "backward_cohort",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -147,18 +146,13 @@ def _check_branch(x, theta0, theta1):
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
 
 
-def _branch_cohort(a_hat, dropped0, theta0, theta1, mask1):
-    """One branch for every member of a cohort; each argument but ``a_hat`` holds one entry per member.
-
-    Each layer runs one operator product over all members' columns.
-    """
-    preacts = spmm_blocks(a_hat, [d @ t for d, t in zip(dropped0, theta0)])
-    dropped1 = []
-    for preact, mask in zip(preacts, mask1):
-        hidden = relu(preact)
-        dropped1.append(hidden if mask is None else hidden * mask)
-    logits = spmm_blocks(a_hat, [d @ t for d, t in zip(dropped1, theta1)])
-    return [BranchCache(*fields) for fields in zip(dropped0, preacts, dropped1, logits, mask1)]
+def _branch(a_hat, dropped0, theta0, theta1, mask1):
+    """One branch from its dropped layer-1 input and layer-2 mask: two operator products, at widths h and K."""
+    preact = spmm(a_hat, dropped0 @ theta0)
+    hidden = relu(preact)
+    dropped1 = hidden if mask1 is None else hidden * mask1
+    logits = spmm(a_hat, dropped1 @ theta1)
+    return BranchCache(dropped0, preact, dropped1, logits, mask1)
 
 
 def branch_forward(x, a_hat, theta0, theta1, dropout=None):
@@ -172,8 +166,7 @@ def branch_forward(x, a_hat, theta0, theta1, dropout=None):
     x = as_dense(x, "features")
     _check_branch(x, theta0, theta1)
     mask0, mask1 = (None, None) if dropout is None else dropout
-    dropped0 = x if mask0 is None else x * mask0
-    (cache,) = _branch_cohort(a_hat, [dropped0], [theta0], [theta1], [mask1])
+    cache = _branch(a_hat, x if mask0 is None else x * mask0, theta0, theta1, mask1)
     return cache, cache.logits
 
 
@@ -197,65 +190,29 @@ def rank_combine(branch_logits, omega):
 def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
     """Full model evaluation over all branches.
 
-    With ``dropout_seed=None`` (or ``dropout_p=0``) the pass is
-    deterministic (evaluation mode); otherwise per-branch masks are drawn
-    from a generator seeded with ``dropout_seed`` and applied to each
-    layer's input.  Each branch runs two operator products, at widths h
-    and K.  This is :func:`forward_cohort` for a cohort of one.
-    """
-    return forward_cohort(x, graphs, [params], [dropout_seed], dropout_p)[0]
-
-
-def forward_cohort(x, graphs, cohort, dropout_seeds=None, dropout_p=0.3):
-    """:func:`forward` for several parameter sets over the same features and graphs.
-
-    ``cohort`` holds one :class:`ModelParams` per member and
-    ``dropout_seeds`` one dropout seed (or None) per member; None
-    evaluates every member.  Each member draws its masks in the order
-    :func:`forward` does, and each branch runs two operator products for
-    the whole cohort, at widths R*h and R*K for R members, so every
-    member's result is bitwise equal to its own :func:`forward`.
-    Returns one :class:`ForwardCache` per member.
+    ``dropout_p`` must lie in [0, 1).  With ``dropout_seed=None`` (or
+    ``dropout_p=0``) the pass is deterministic (evaluation mode);
+    otherwise per-branch masks are drawn from a generator seeded with
+    ``dropout_seed`` and applied to each layer's input.  Each branch runs
+    two operator products, at widths h and K.
     """
     x = as_dense(x, "features")
-    if dropout_seeds is None:
-        dropout_seeds = [None] * len(cohort)
-    inputs = []  # per member, per branch: the dropped layer-1 input and the layer-2 mask
-    for params, seed in zip(cohort, dropout_seeds):
-        if len(graphs) != params.n_branches:
-            raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
-        for m in range(params.n_branches):
-            _check_branch(x, params.theta0[m], params.theta1[m])
-        rng = None
-        if seed is not None and dropout_p > 0.0:
-            if not 0.0 <= dropout_p < 1.0:
-                raise ParameterError(f"dropout rate must lie in [0, 1), got {dropout_p}")
-            rng = np.random.default_rng(seed)
-        member = []
-        for _ in range(params.n_branches):
-            if rng is None:
-                member.append((x, None))
-            else:
-                mask0 = _dropout_mask(rng, x.shape, dropout_p)
-                member.append((x * mask0, _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p)))
-        inputs.append(member)
-
-    branches = [
-        _branch_cohort(
-            graphs[m],
-            [member[m][0] for member in inputs],
-            [params.theta0[m] for params in cohort],
-            [params.theta1[m] for params in cohort],
-            [member[m][1] for member in inputs],
-        )
-        for m in range(len(graphs))
-    ]
-    caches = []
-    for r, params in enumerate(cohort):
-        member = [branch[r] for branch in branches]
-        _, probs = rank_combine([br.logits for br in member], params.omega)
-        caches.append(ForwardCache(branches=member, graphs=list(graphs), probs=probs, params=params))
-    return caches
+    if not 0.0 <= dropout_p < 1.0:
+        raise ParameterError(f"dropout rate must lie in [0, 1), got {dropout_p}")
+    if len(graphs) != params.n_branches:
+        raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
+    for m in range(params.n_branches):
+        _check_branch(x, params.theta0[m], params.theta1[m])
+    rng = None if dropout_seed is None or dropout_p == 0.0 else np.random.default_rng(dropout_seed)
+    branches = []
+    for m, a_hat in enumerate(graphs):
+        dropped0, mask1 = x, None
+        if rng is not None:
+            dropped0 = x * _dropout_mask(rng, x.shape, dropout_p)
+            mask1 = _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p)
+        branches.append(_branch(a_hat, dropped0, params.theta0[m], params.theta1[m], mask1))
+    _, probs = rank_combine([br.logits for br in branches], params.omega)
+    return ForwardCache(branches=branches, graphs=list(graphs), probs=probs, params=params)
 
 
 def backward(cache, y, labeled_mask, l2_lambda=0.0):
@@ -263,52 +220,31 @@ def backward(cache, y, labeled_mask, l2_lambda=0.0):
 
     Unlabeled rows contribute nothing; the loss is normalized by the
     labeled count.  The L2 penalty ``l2_lambda * sum ||Theta||_F^2``
-    affects layer weights only, never the ranking weights.  This is
-    :func:`backward_cohort` for a cohort of one.
-    """
-    return backward_cohort([cache], y, [labeled_mask], l2_lambda)[0]
-
-
-def backward_cohort(caches, y, labeled_masks, l2_lambda=0.0):
-    """:func:`backward` for the members of one :func:`forward_cohort` call.
-
-    ``caches`` and ``labeled_masks`` hold one entry per member.  Each
-    branch runs its two operator products once for the whole cohort, so
-    every member's gradient is bitwise equal to its own :func:`backward`.
-    Returns one gradient :class:`ModelParams` per member.
+    affects layer weights only, never the ranking weights.  Each branch
+    runs two operator products, at widths K and h.
     """
     y = as_dense(y, "labels")
-    cohort = [cache.params for cache in caches]
-    grad_fused = []
-    for cache, labeled_mask in zip(caches, labeled_masks):
-        labeled_mask = np.asarray(labeled_mask, dtype=bool)
-        if cache.graphs != caches[0].graphs:
-            raise ConsistencyError("cohort members do not share their graphs")
-        if y.shape != cache.probs.shape:
-            raise ShapeError(f"labels {y.shape} do not match predictions {cache.probs.shape}")
-        if labeled_mask.shape != (y.shape[0],):
-            raise ShapeError(f"mask shape {labeled_mask.shape} does not match {y.shape[0]} subjects")
-        n_labeled = int(labeled_mask.sum())
-        grad = np.zeros_like(cache.probs)
-        if n_labeled > 0:
-            grad[labeled_mask] = (cache.probs[labeled_mask] - y[labeled_mask]) / n_labeled
-        grad_fused.append(grad)
+    labeled_mask = np.asarray(labeled_mask, dtype=bool)
+    if y.shape != cache.probs.shape:
+        raise ShapeError(f"labels {y.shape} do not match predictions {cache.probs.shape}")
+    if labeled_mask.shape != (y.shape[0],):
+        raise ShapeError(f"mask shape {labeled_mask.shape} does not match {y.shape[0]} subjects")
+    n_labeled = int(labeled_mask.sum())
+    grad_fused = np.zeros_like(cache.probs)
+    if n_labeled > 0:
+        grad_fused[labeled_mask] = (cache.probs[labeled_mask] - y[labeled_mask]) / n_labeled
 
-    grads = [params.copy() for params in cohort]  # every entry is overwritten below
-    for m, a_hat in enumerate(caches[0].graphs):
+    params = cache.params
+    grads = params.copy()  # every entry is overwritten below
+    for m, (a_hat, br) in enumerate(zip(cache.graphs, cache.branches)):
         # A_hat is symmetric, so each layer's propagation passes its gradient G back as A_hat @ G
-        projected1 = spmm_blocks(a_hat, [p.omega[m] * g for p, g in zip(cohort, grad_fused)])
-        grad_preacts = []
-        for cache, params, grad, g, gp1 in zip(caches, cohort, grads, grad_fused, projected1):
-            br = cache.branches[m]
-            grad.omega[m] = np.sum(g * br.logits)
-            grad.theta1[m][...] = br.dropped1.T @ gp1 + 2.0 * l2_lambda * params.theta1[m]
-            grad_dropped_hidden = gp1 @ params.theta1[m].T
-            grad_hidden = grad_dropped_hidden if br.mask1 is None else grad_dropped_hidden * br.mask1
-            grad_preacts.append(grad_hidden * (br.preact > 0))
-        projected0 = spmm_blocks(a_hat, grad_preacts)
-        for cache, params, grad, gp0 in zip(caches, cohort, grads, projected0):
-            grad.theta0[m][...] = cache.branches[m].dropped0.T @ gp0 + 2.0 * l2_lambda * params.theta0[m]
+        projected1 = spmm(a_hat, params.omega[m] * grad_fused)
+        grads.omega[m] = np.sum(grad_fused * br.logits)
+        grads.theta1[m][...] = br.dropped1.T @ projected1 + 2.0 * l2_lambda * params.theta1[m]
+        grad_dropped_hidden = projected1 @ params.theta1[m].T
+        grad_hidden = grad_dropped_hidden if br.mask1 is None else grad_dropped_hidden * br.mask1
+        projected0 = spmm(a_hat, grad_hidden * (br.preact > 0))
+        grads.theta0[m][...] = br.dropped0.T @ projected0 + 2.0 * l2_lambda * params.theta0[m]
     return grads
 
 
@@ -328,14 +264,24 @@ def save_checkpoint(params, seed, path):
 def load_checkpoint(path):
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Returns ``(params, seed)``.
+    Returns ``(params, seed)``.  A file that cannot be read, is not an
+    ``.npz`` archive or lacks a tensor raises :class:`DataError` naming ``path``.
     """
-    with np.load(path) as archive:
-        m = int(archive["n_branches"])
-        params = ModelParams(
-            theta0=[archive[f"theta0_{i}"] for i in range(m)],
-            theta1=[archive[f"theta1_{i}"] for i in range(m)],
-            omega=archive["omega"],
-        )
-        seed = int(archive["seed"])
+    try:
+        archive = np.load(path)  # refuses pickled data with ValueError
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"checkpoint {path} is not an .npz archive")
+    with archive:
+        try:
+            m = int(archive["n_branches"])
+            params = ModelParams(
+                theta0=[archive[f"theta0_{i}"] for i in range(m)],
+                theta1=[archive[f"theta1_{i}"] for i in range(m)],
+                omega=archive["omega"],
+            )
+            seed = int(archive["seed"])
+        except KeyError as exc:
+            raise DataError(f"checkpoint {path} lacks a tensor: {exc.args[0]}") from exc
     return params, seed

@@ -18,16 +18,7 @@ import numpy as np
 from .errors import ConsistencyError, DataError, ParameterError, read_text, require_memory
 from .graphs import AffinityGraph
 from .linalg import as_dense
-from .model import (
-    ModelParams,
-    backward,
-    backward_cohort,
-    branch_forward,
-    forward,
-    forward_cohort,
-    init_params,
-    rank_combine,
-)
+from .model import ModelParams, backward, branch_forward, forward, init_params, rank_combine
 from .stats import accuracy, stratified_mc_split
 
 __all__ = [
@@ -46,11 +37,6 @@ __all__ = [
 ]
 
 LOG_FLOOR = 1e-12
-
-# Hidden columns per training cohort.  A cohort holds max(1, COHORT_COLUMNS // hidden_width)
-# runs: the per-column cost of a CSR product flattens by 48-64 columns and rises past 64,
-# and the bound keeps the cohort's live caches from growing with the number of runs.
-COHORT_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -256,10 +242,9 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     ``initial_params`` overrides the seeded Glorot initialization, e.g.
     for warm starts; the object passed in is copied, never mutated.
 
-    This is :func:`train_cohort` for a cohort of one: a branch-epoch runs
-    six operator products, dropout or not, two in the training forward,
-    two in the backward and two in the evaluation forward, at widths h
-    and K.
+    This is :func:`train_cohort` for one run: a branch-epoch runs six
+    operator products, dropout or not, two in the training forward, two in
+    the backward and two in the evaluation forward, at widths h and K.
 
     Returns ``(params, history)`` where ``params`` is the snapshot with
     the lowest validation loss and ``history`` records every epoch and
@@ -274,53 +259,19 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     return params, history
 
 
-class _Run:
-    """One member of a training cohort: its weights, Adam state, masks, history and best snapshot."""
-
-    def __init__(self, seed, params, train_mask, val_mask):
-        self.seed = seed
-        self.params = params
-        self.train_mask = train_mask
-        self.val_mask = val_mask
-        self.state = init_adam_state(params)
-        self.history = TrainHistory(records=[], best_epoch=0)
-        self.best_params = None
-        self.best_probs = None
-
-    def end_epoch(self, record, probs, patience):
-        """Record the epoch, keep a new best's snapshot and ``probs``, and stop when patience runs out."""
-        history = self.history
-        best_val = history.records[history.best_epoch - 1].val_loss if history.best_epoch else np.inf
-        history.records.append(record)
-        if record.val_loss < best_val:
-            history.best_epoch = record.epoch
-            self.best_params = self.params.copy()
-            self.best_probs = probs
-        elif record.epoch - history.best_epoch >= patience:
-            history.stop_reason = "early_stop"
-
-    def result(self):
-        if not self.history.best_epoch:
-            raise ParameterError(f"run with seed {self.seed} reached no finite validation loss in "
-                                 f"{len(self.history)} epochs; try a smaller learning_rate")
-        return self.best_params, self.history, self.best_probs
-
-
 def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params=None):
-    """Train several runs over the same graphs in lockstep; one ``(params, history, probs)`` per run.
+    """Train several runs over the same graphs, one after another; one ``(params, history, probs)`` per run.
 
     ``graphs`` holds :class:`~pgcn.graphs.AffinityGraph` objects, as for
-    :func:`train` and :func:`grad_check`.  ``runs`` holds one ``(seed, train_mask, val_mask)`` per member.  Each
-    member trains exactly as :func:`train` would with ``seed`` as
-    ``config.seed`` and its masks, leaving its cohort when
-    patience runs out, and also returns ``probs``, the predictions of its
-    best epoch's evaluation forward.  A member whose validation loss is
-    never finite raises :class:`ParameterError`.  ``fixed_omega`` and
-    ``initial_params`` apply to every member.  Members train in
-    sequential cohorts of ``max(1, COHORT_COLUMNS // hidden_width)``;
-    each epoch every branch runs six operator products for a cohort's
-    still-active members, at widths R*h and R*K for R members, with each
-    member's columns bitwise equal to its own products.
+    :func:`train` and :func:`grad_check`.  ``runs`` holds one ``(seed, train_mask, val_mask)`` per run.  Each
+    run trains exactly as :func:`train` would with ``seed`` as
+    ``config.seed`` and its masks, and also returns ``probs``, the
+    predictions of its best epoch's evaluation forward.  A run whose
+    validation loss is never finite raises :class:`ParameterError`.
+    ``fixed_omega`` and ``initial_params`` apply to every run, and they,
+    the memory bound and every run's masks are checked before any run
+    trains.  Each epoch every branch runs six operator products, at widths
+    h and K.
     """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
@@ -356,52 +307,53 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
             params = init_params(x.shape[1], config.hidden_width, y.shape[1], len(ops), seed=seed)
         if fixed_omega is not None:
             params.omega = fixed_omega
-        members.append(_Run(seed, params, train_mask, val_mask))
-
-    size = max(1, COHORT_COLUMNS // config.hidden_width)
-    for start in range(0, len(members), size):
-        _train_lockstep(x, y, ops, config, fixed_omega, members[start:start + size])
-    return [run.result() for run in members]
+        members.append((seed, params, train_mask, val_mask))
+    return [_train_run(x, y, ops, config, fixed_omega, *member) for member in members]
 
 
-def _train_lockstep(x, y, ops, config, fixed_omega, active):
-    """Train one cohort of :class:`_Run` members until each has stopped or reached ``max_epochs``."""
+def _train_run(x, y, ops, config, fixed_omega, seed, params, train_mask, val_mask):
+    """Train ``params`` in place until patience runs out or ``max_epochs``; the best ``(params, history, probs)``."""
+    state = init_adam_state(params)
+    history = TrainHistory(records=[], best_epoch=0)
+    best_val, best_params, best_probs = np.inf, None, None
     for epoch in range(1, config.max_epochs + 1):
-        dropout_seeds = None
-        if config.dropout_p > 0.0:
-            dropout_seeds = [[run.seed & 0xFFFFFFFF, 101, epoch] for run in active]
-        caches = forward_cohort(x, ops, [run.params for run in active], dropout_seeds, config.dropout_p)
-        train_losses = [loss(cache.probs, y, run.train_mask, run.params, config.l2_lambda)
-                        for cache, run in zip(caches, active)]
-        grads = backward_cohort(caches, y, [run.train_mask for run in active], config.l2_lambda)
-        for run, run_grads in zip(active, grads):
-            if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
-                run_grads.omega[:] = 0.0
-            adam_step(
-                run.params,
-                run_grads,
-                run.state,
-                config.learning_rate,
-                beta1=config.adam_beta1,
-                beta2=config.adam_beta2,
-                eps=config.adam_eps,
-                t=epoch,
-            )
-        eval_caches = forward_cohort(x, ops, [run.params for run in active])
-        for run, train_loss, eval_cache in zip(active, train_losses, eval_caches):
-            record = EpochRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                val_loss=loss(eval_cache.probs, y, run.val_mask),
-                val_acc=accuracy(eval_cache.probs, y, run.val_mask),
-                omega=tuple(run.params.omega.tolist()),
-            )
-            run.end_epoch(record, eval_cache.probs, config.early_stop_patience)
-        active = [run for run in active if run.history.stop_reason is None]
-        if not active:
+        dropout_seed = [seed & 0xFFFFFFFF, 101, epoch] if config.dropout_p > 0.0 else None
+        cache = forward(x, ops, params, dropout_seed, config.dropout_p)
+        train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
+        grads = backward(cache, y, train_mask, config.l2_lambda)
+        if fixed_omega is not None or epoch <= config.omega_warmup_epochs:
+            grads.omega[:] = 0.0
+        adam_step(
+            params,
+            grads,
+            state,
+            config.learning_rate,
+            beta1=config.adam_beta1,
+            beta2=config.adam_beta2,
+            eps=config.adam_eps,
+            t=epoch,
+        )
+        probs = forward(x, ops, params).probs
+        record = EpochRecord(
+            epoch=epoch,
+            train_loss=train_loss,
+            val_loss=loss(probs, y, val_mask),
+            val_acc=accuracy(probs, y, val_mask),
+            omega=tuple(params.omega.tolist()),
+        )
+        history.records.append(record)
+        if record.val_loss < best_val:
+            best_val, history.best_epoch = record.val_loss, epoch
+            best_params, best_probs = params.copy(), probs
+        elif epoch - history.best_epoch >= config.early_stop_patience:
+            history.stop_reason = "early_stop"
             break
-    for run in active:
-        run.history.stop_reason = "max_epochs"
+    else:
+        history.stop_reason = "max_epochs"
+    if not history.best_epoch:
+        raise ParameterError(f"run with seed {seed} reached no finite validation loss in "
+                             f"{len(history)} epochs; try a smaller learning_rate")
+    return best_params, history, best_probs
 
 
 def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4):

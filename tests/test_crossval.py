@@ -3,7 +3,6 @@ import pytest
 from counting import count_spmm_calls, planned_graphs
 
 import pgcn.crossval
-import pgcn.training
 from pgcn.crossval import Arm, cross_validate
 from pgcn.data import synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
@@ -109,41 +108,19 @@ class TestCrossValidate:
 
 
 class TestCohorts:
-    """Repeats of an arm train in lockstep, in cohorts of up to COHORT_COLUMNS // hidden_width."""
-
-    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
-    def test_cohort_equals_members_trained_one_at_a_time(self, setup, monkeypatch, dropout_p):
-        dataset, g_info, g_nui = setup
-        arms = [Arm("trainable", (g_info, g_nui)), Arm("fixed", (g_info, g_nui), fixed_omega=(0.3, 0.7))]
-        # 64 // 32 = 2 repeats per cohort, so 5 repeats split into cohorts of 2, 2 and 1
-        config = quick_config(hidden_width=32, max_epochs=60, omega_warmup_epochs=5,
-                              early_stop_patience=3, dropout_p=dropout_p)
-        cohorts = cross_validate(dataset, arms, config, repeats=5)
-        monkeypatch.setattr(pgcn.training, "COHORT_COLUMNS", 1)
-        alone = cross_validate(dataset, arms, config, repeats=5)
-
-        # a member leaves its cohort early while the other trains on
-        assert any(len(cohorts.histories[("trainable", r)]) != len(cohorts.histories[("trainable", r + 1)])
-                   for r in (0, 2))
-        assert cohorts.render() == alone.render()
-        assert cohorts.histories == alone.histories
+    """An arm's repeats train one after another in one train_cohort call."""
 
     def test_one_product_per_branch_and_stage_per_cohort(self, setup, monkeypatch):
         dataset, g_info, g_nui = setup
         epochs = 6
         config = quick_config(hidden_width=16, max_epochs=epochs, early_stop_patience=epochs)
         calls = count_spmm_calls(monkeypatch)
-        branches, repeats, cohorts = 2 + 1, 5, 2  # cohorts of 64 // 16 = 4 and 1 repeats
+        branches, repeats = 2 + 1, 5
         for plan in ("blocks", "csr"):
             info, nui = planned_graphs((g_info, g_nui), plan, monkeypatch)
             arms = [Arm("pair", (info, nui)), Arm("single", (nui,), fixed_omega=(1.0,))]
             calls.clear()
             cross_validate(dataset, arms, config, repeats=repeats)
-            # six products an epoch and none to score the best epoch: on dense blocks one per member,
-            # on CSR one over the cohort's members side by side
-            if plan == "blocks":
-                assert len(calls) == branches * repeats * 6 * epochs
-                assert max(calls) == 16
-            else:
-                assert len(calls) == branches * cohorts * 6 * epochs
-                assert max(calls) == 64
+            # six products an epoch of each repeat, on either plan, and none to score the best epoch
+            assert len(calls) == branches * repeats * 6 * epochs
+            assert max(calls) == 16

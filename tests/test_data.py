@@ -75,6 +75,12 @@ class TestDatasetContainer:
                 labeled_mask=[True, True],
             )
 
+    def test_duplicate_metadata_names_rejected(self):
+        meta = [MetaColumn("a", "categorical", np.array(["x", "y"])),
+                MetaColumn("a", "continuous", np.array([1.0, 2.0]))]
+        with pytest.raises(DataError, match="two metadata columns are named 'a'"):
+            Dataset(subject_ids=["s", "t"], X=np.zeros((2, 2)), meta=meta, Y=np.eye(2), labeled_mask=[True, True])
+
     def test_column_lookup(self):
         dataset, informative, _ = synth_generate(20, 3, seed=0)
         assert dataset.column("informative") is informative
@@ -151,6 +157,16 @@ class TestLoadDataset:
         with pytest.raises(DataError) as exc:
             load_dataset(*paths)
         assert "duplicate" in str(exc.value)
+
+    def test_duplicate_metadata_column_rejected(self, tmp_path):
+        paths = self.write(
+            tmp_path,
+            "1.0\n2.0\n",
+            "subject_id,a:categorical,a:continuous\ns,M,1.5\nt,F,2.5\n",
+            "subject_id,label\ns,0\nt,1\n",
+        )
+        with pytest.raises(DataError, match="two metadata columns are named 'a'"):
+            load_dataset(*paths)
 
     def test_unparseable_numeric_names_row_and_column(self, tmp_path):
         paths = self.write(

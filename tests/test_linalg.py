@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import connected_components  # a test-only oracle: the
 import pgcn.errors
 from pgcn.errors import DataError, ShapeError
 from pgcn.graphs import MetaColumn, build_graph
-from pgcn.linalg import SparseSymMatrix, _component_labels, matmul, relu, softmax_rows, spmm, spmm_blocks
+from pgcn.linalg import SparseSymMatrix, _component_labels, matmul, relu, softmax_rows, spmm
 
 
 def random_symmetric_sparse(n, density, rng):
@@ -79,29 +79,6 @@ class TestSpmm:
     def test_operator_must_be_sparse_sym_matrix(self):
         with pytest.raises(ShapeError, match="SparseSymMatrix"):
             spmm(np.eye(3), np.zeros((3, 2)))
-
-
-class TestSpmmBlocks:
-    @pytest.mark.parametrize("widths", [[3], [2, 2, 2], [16, 2, 5]])
-    def test_each_block_bitwise_its_own_product(self, widths):
-        rng = np.random.default_rng(len(widths))
-        n = 200
-        operators = [random_symmetric_sparse(n, 0.3, rng)[0], operator_of_kind("categorical", n, rng),
-                     operator_of_kind("random", n, rng)]
-        assert [plan_kind(s) for s in operators] == ["whole", "blocks", "csr"]
-        for s in operators:
-            blocks = [rng.normal(size=(n, w)) for w in widths]
-            out = spmm_blocks(s, blocks)
-            assert len(out) == len(blocks)
-            for got, block in zip(out, blocks):
-                assert got.flags.c_contiguous
-                assert got.tobytes() == spmm(s, block).tobytes()
-
-    def test_dimension_mismatch(self):
-        s = SparseSymMatrix.from_dense(np.eye(3))
-        for blocks in ([np.zeros((4, 2))], [np.zeros((4, 2)), np.zeros((4, 1))]):
-            with pytest.raises(ShapeError):
-                spmm_blocks(s, blocks)
 
 
 def operator_of_kind(kind, n, rng):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from pgcn.errors import ParameterError, ShapeError
+from pgcn.errors import DataError, ParameterError, ShapeError
 from pgcn.graphs import normalize, random_graph
 from pgcn.linalg import SparseSymMatrix, softmax_rows
 from pgcn.model import (
@@ -283,6 +285,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(x, graphs[:1], params)
 
+    @pytest.mark.parametrize("dropout_p", [-0.5, 1.0, np.nan])
+    @pytest.mark.parametrize("dropout_seed", [None, 3])
+    def test_dropout_rate_checked_with_or_without_a_seed(self, dropout_p, dropout_seed):
+        x, graphs, params, _, _ = make_instance(13)
+        with pytest.raises(ParameterError, match=r"dropout rate must lie in \[0, 1\)"):
+            forward(x, graphs, params, dropout_seed=dropout_seed, dropout_p=dropout_p)
+
 
 class TestBackward:
     def test_perfect_prediction_zeroes_omega_gradients(self):
@@ -350,3 +359,33 @@ class TestCheckpoint:
         assert loaded.n_branches == 2
         for (_, a), (_, b) in zip(params.tensors(), loaded.tensors()):
             np.testing.assert_array_equal(a, b)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        with pytest.raises(DataError, match=f"cannot read checkpoint {re.escape(str(path))}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"", b"not an archive\n", b"PK\x03\x04 truncated"],
+                             ids=["empty", "text", "truncated-zip"])
+    def test_unreadable_file_is_data_error(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=f"cannot read checkpoint {re.escape(str(path))}"):
+            load_checkpoint(path)
+
+    def test_single_array_file_is_data_error(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))} is not an .npz archive"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dropped", ["n_branches", "theta0_1", "theta1_0", "omega", "seed"])
+    def test_archive_without_a_tensor_is_data_error(self, tmp_path, dropped):
+        params = init_params(6, 4, 3, 2, seed=33)
+        path = tmp_path / "model.npz"
+        save_checkpoint(params, seed=33, path=path)
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files if name != dropped}
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match=f"checkpoint {re.escape(str(path))} lacks a tensor: {dropped} is not a file"):
+            load_checkpoint(path)

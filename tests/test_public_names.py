@@ -1,5 +1,8 @@
 """Every name the demos and the README's Python blocks import from ``pgcn`` exists.
 
+Every name a ``pgcn`` module lists in ``__all__`` exists too, so a deleted
+function cannot outlive itself in an export list.
+
 The files are parsed with ``ast`` and never run, so a renamed or deleted
 public name fails here in milliseconds instead of only when someone runs
 a demo or pastes the Quick start.  Likewise every ``pgcn`` command in the
@@ -10,11 +13,13 @@ examples load.
 import ast
 import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import pgcn
 from pgcn.cli import build_parser
 from pgcn.experiments import load_experiment_config, load_train_config
 
@@ -85,6 +90,20 @@ def test_resolves_names_and_modules():
 def test_pgcn_imports_reads_both_import_forms():
     code = "import pgcn.cli\nimport numpy\nfrom pgcn import (Arm,\n    Nope)\nfrom .x import y\n"
     assert list(pgcn_imports(code)) == [("pgcn.cli", None), ("pgcn", "Arm"), ("pgcn", "Nope")]
+
+
+# pgcn.__main__ runs the command when imported and exports nothing
+MODULES = ["pgcn"] + [f"pgcn.{info.name}" for info in pkgutil.iter_modules(pgcn.__path__) if info.name != "__main__"]
+
+
+def test_every_module_found():
+    assert {"pgcn", "pgcn.linalg", "pgcn.model", "pgcn.training", "pgcn.crossval"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    exported = getattr(importlib.import_module(module), "__all__", [])
+    assert [name for name in exported if not resolves(module, name)] == []
 
 
 COMMANDS = readme_commands()

@@ -333,27 +333,32 @@ class TestTrain:
 
 
 class TestTrainCohort:
+    def test_each_run_trains_as_train_would(self):
+        dataset, g_info, g_nui = planted_setup(seed=5)
+        config = TrainConfig(max_epochs=40, omega_warmup_epochs=5, early_stop_patience=3, hidden_width=8)
+        runs = [(seed, *split_masks(dataset, 0.2, r, 7)) for r, seed in enumerate(range(11, 14))]
+        trained = train_cohort(dataset, [g_info, g_nui], config, runs)
+        for (seed, train_mask, val_mask), (params, history, _) in zip(runs, trained):
+            alone, alone_history = train(dataset, [g_info, g_nui], replace(config, seed=seed), train_mask, val_mask)
+            assert params.vector.tobytes() == alone.vector.tobytes()
+            assert history == alone_history
+
     @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
     def test_probs_are_the_returned_params_evaluated(self, monkeypatch, dropout_p):
         dataset, g_info, g_nui = planted_setup(seed=5)
         config = TrainConfig(max_epochs=60, omega_warmup_epochs=5, early_stop_patience=3, seed=3,
                              hidden_width=16, dropout_p=dropout_p)
         runs = [(seed, *split_masks(dataset, 0.2, r, 7)) for r, seed in enumerate(range(11, 16))]
-        monkeypatch.setattr(pgcn.training, "COHORT_COLUMNS", 48)  # 48 // 16 = 3: cohorts of 3 and 2 runs
         widths = count_spmm_calls(monkeypatch)
         for plan in ("blocks", "csr"):
             graphs = planned_graphs([g_info, g_nui], plan, monkeypatch)
             widths.clear()
             trained = train_cohort(dataset, graphs, config, runs)
             lengths = [len(history) for _, history, _ in trained]
-            assert len(set(lengths[:3])) > 1  # a member leaves its cohort while a cohort-mate trains on
-            # per branch and epoch six products: on dense blocks one per member, on CSR one per cohort
-            if plan == "blocks":
-                assert len(widths) == 2 * 6 * sum(lengths)
-                assert max(widths) == 16
-            else:
-                assert len(widths) == 2 * 6 * (max(lengths[:3]) + max(lengths[3:]))
-                assert max(widths) == 3 * 16
+            assert len(set(lengths)) > 1  # runs stop early at different epochs
+            # six products per branch and epoch of each run, on either plan
+            assert len(widths) == 2 * 6 * sum(lengths)
+            assert max(widths) == 16
             for params, _, probs in trained:
                 assert probs.tobytes() == forward(dataset.X, as_operators(graphs), params).probs.tobytes()
 
