@@ -6,13 +6,13 @@ reported t-tests are valid.  Each repeat also derives an independent
 training seed from ``(seed, repeat)``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParameterError
 from .stats import accuracy, auc, paired_t_test
-from .training import split_masks, train_cohort
+from .training import split_masks, train
 
 __all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate", "derive_seed"]
 
@@ -138,12 +138,12 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     """Train and score every arm on shared stratified splits.
 
     Returns a :class:`CvReport`; per-repeat training trajectories are
-    kept under ``report.histories[(arm_name, repeat)]``.  An arm's
-    repeats train one after another in one
-    :func:`~pgcn.training.train_cohort` call, and each repeat is scored on
-    the probabilities of its best epoch's evaluation forward: each branch
-    runs six operator products per epoch of each repeat, at widths h and
-    K, and none to score.  Pairwise
+    kept under ``report.histories[(arm_name, repeat)]``.  Each repeat is
+    one :func:`~pgcn.training.train` call on that repeat's split, with
+    ``config.seed`` replaced by the repeat's derived seed, and is scored
+    on its history's ``best_probs``: each branch runs six operator
+    products per epoch of each repeat, at widths h and K, and none to
+    score.  Pairwise
     t-tests run on accuracy.  A pair whose per-repeat accuracy
     differences have zero variance, identical accuracies or the same
     nonzero difference in every repeat, has no t statistic: it is
@@ -161,15 +161,15 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
 
     binary = dataset.n_classes == 2
     splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
-    runs = [(derive_seed(int(config.seed) & 0xFFFFFFFF, r), *splits[r]) for r in range(repeats)]
     results = []
     histories = {}
     for arm in arms:
         accs = np.zeros(repeats)
         aucs = np.full(repeats, np.nan)
-        trained = train_cohort(dataset, arm.graphs, config, runs, fixed_omega=arm.fixed_omega)
-        for r, (_, history, probs) in enumerate(trained):
-            val_mask = splits[r][1]
+        for r, (train_mask, val_mask) in enumerate(splits):
+            run_config = replace(config, seed=derive_seed(int(config.seed) & 0xFFFFFFFF, r))
+            _, history = train(dataset, arm.graphs, run_config, train_mask, val_mask, arm.fixed_omega)
+            probs = history.best_probs
             accs[r] = accuracy(probs, dataset.Y, val_mask)
             if binary:
                 aucs[r] = auc(probs[val_mask, 1], dataset.labels()[val_mask])

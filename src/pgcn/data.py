@@ -186,6 +186,8 @@ def _parse_meta(path):
         name, sep, kind = cell.partition(":")
         if not sep or kind not in (CATEGORICAL, CONTINUOUS) or not name:
             raise DataError(f"{path}: metadata column {cell!r} is not declared as name:kind")
+        if name in dict(columns):
+            raise DataError(f"{path}:{rows[0][0]}: two metadata columns are named {name!r}")
         columns.append((name, kind))
     ids = []
     values = [[] for _ in columns]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .crossval import Arm, cross_validate, derive_seed
 from .errors import ConfigError, DataError, ParameterError, read_text
-from .graphs import build_graph, load_edge_list, random_graph
+from .graphs import SIMILARITY_METRICS, build_graph, load_edge_list, random_graph
 from .training import TrainConfig, TrainHistory
 
 __all__ = [
@@ -154,10 +154,14 @@ def _read_config(path, extra_keys):
     betas = payload.get("betas", {})
     if not isinstance(betas, dict):
         raise ConfigError(f"{path}: 'betas' must be an object")
+    metric = payload.get("metric", "pearson")
+    if not isinstance(metric, str) or metric not in SIMILARITY_METRICS:
+        names = ", ".join(map(repr, SIMILARITY_METRICS))
+        raise ConfigError(f"{path}: 'metric' must be one of {names}, got {metric!r}")
     parsed = {
         "train": train,
         "betas": {k: _number(v, float, f"{path}: beta {k!r}") for k, v in betas.items()},
-        "metric": str(payload.get("metric", "pearson")),
+        "metric": metric,
     }
     return payload, parsed
 

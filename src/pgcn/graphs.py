@@ -47,6 +47,9 @@ CONTINUOUS = "continuous"
 
 DEFAULT_BETA = 2.0
 
+# The feature-similarity metrics build_graph and similarity_matrix take; pearson is the default.
+SIMILARITY_METRICS = ("pearson", "cosine")
+
 # Bytes per vertex sized from an edge list's header: load_edge_list, and normalize when the loaded graph's
 # operator is first used, each hold at most twelve N-entry arrays of 8-byte values at once.
 EDGE_LIST_VERTEX_BYTES = 12 * 8
@@ -239,6 +242,8 @@ def _similarity_rows(x, metric):
     ``cosine`` scales each row to unit length and ``scale`` is None.  A
     subject whose similarity is undefined is refused.
     """
+    if metric not in SIMILARITY_METRICS:
+        raise ParameterError(f"unknown similarity metric {metric!r}")
     x = as_dense(x, "feature matrix")
     if metric == "pearson":
         stds = x.std(axis=1)
@@ -246,13 +251,11 @@ def _similarity_rows(x, metric):
         if degenerate.size:
             raise DataError(f"subject {int(degenerate[0])} has zero feature variance")
         return x - x.mean(axis=1)[:, None], 1 / (x.shape[1] - 1)
-    if metric == "cosine":
-        norms = np.linalg.norm(x, axis=1)
-        degenerate = np.flatnonzero(~(norms > 0))
-        if degenerate.size:
-            raise DataError(f"subject {int(degenerate[0])} has a zero feature vector")
-        return x / norms[:, None], None
-    raise ParameterError(f"unknown similarity metric {metric!r}")
+    norms = np.linalg.norm(x, axis=1)
+    degenerate = np.flatnonzero(~(norms > 0))
+    if degenerate.size:
+        raise DataError(f"subject {int(degenerate[0])} has a zero feature vector")
+    return x / norms[:, None], None
 
 
 def _dot_blocks(rows):

@@ -11,7 +11,7 @@ validation loss and the best snapshot is returned.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "as_operators",
     "split_masks",
     "train",
-    "train_cohort",
     "grad_check",
 ]
 
@@ -93,13 +92,17 @@ class TrainHistory:
     """Per-epoch trajectory of losses, accuracy, and ranking weights.
 
     ``stop_reason`` is ``"early_stop"`` when patience ended the run and
-    ``"max_epochs"`` when the epoch cap did; a history read back from CSV
-    has ``None``, since the file does not record it.
+    ``"max_epochs"`` when the epoch cap did.  ``best_probs`` holds the
+    predictions of the best epoch's evaluation forward, so a run can be
+    scored without another forward; it takes no part in comparisons.  A
+    history read back from CSV has ``None`` for both, since the file
+    records neither.
     """
 
     records: list
     best_epoch: int | None = None
     stop_reason: str | None = None
+    best_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.records)
@@ -240,39 +243,22 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     pins the ranking weights for the whole run (the non-trainable
     ablation); otherwise they unfreeze after the warm-up epochs.
     ``initial_params`` overrides the seeded Glorot initialization, e.g.
-    for warm starts; the object passed in is copied, never mutated.
+    for warm starts; the object passed in is copied, never mutated.  The
+    inputs, and the memory the first layer needs, are checked before
+    :func:`~pgcn.model.init_params` runs.
 
-    This is :func:`train_cohort` for one run: a branch-epoch runs six
-    operator products, dropout or not, two in the training forward, two in
-    the backward and two in the evaluation forward, at widths h and K.
+    Each epoch every branch runs six operator products, dropout or not,
+    two in the training forward, two in the backward and two in the
+    evaluation forward, at widths h and K.
 
     Returns ``(params, history)`` where ``params`` is the snapshot with
-    the lowest validation loss and ``history`` records every epoch and
-    why the run stopped.
+    the lowest validation loss and ``history`` records every epoch, why
+    the run stopped, and in ``best_probs`` the predictions of the best
+    epoch's evaluation forward.  A run whose validation loss is never
+    finite raises :class:`ParameterError`.
     """
     if (train_mask is None) != (val_mask is None):
         raise ParameterError("train_mask and val_mask go together: pass both or neither")
-    if train_mask is None:
-        train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
-    ((params, history, _),) = train_cohort(dataset, graphs, config, [(config.seed, train_mask, val_mask)],
-                                           fixed_omega, initial_params)
-    return params, history
-
-
-def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params=None):
-    """Train several runs over the same graphs, one after another; one ``(params, history, probs)`` per run.
-
-    ``graphs`` holds :class:`~pgcn.graphs.AffinityGraph` objects, as for
-    :func:`train` and :func:`grad_check`.  ``runs`` holds one ``(seed, train_mask, val_mask)`` per run.  Each
-    run trains exactly as :func:`train` would with ``seed`` as
-    ``config.seed`` and its masks, and also returns ``probs``, the
-    predictions of its best epoch's evaluation forward.  A run whose
-    validation loss is never finite raises :class:`ParameterError`.
-    ``fixed_omega`` and ``initial_params`` apply to every run, and they,
-    the memory bound and every run's masks are checked before any run
-    trains.  Each epoch every branch runs six operator products, at widths
-    h and K.
-    """
     ops = as_operators(graphs)
     x = as_dense(dataset.X, "features")
     y = as_dense(dataset.Y, "labels")
@@ -287,37 +273,30 @@ def train_cohort(dataset, graphs, config, runs, fixed_omega=None, initial_params
         require_memory(nbytes, ParameterError, f"hidden_width={h} needs {nbytes} bytes for one branch's first layer")
     elif initial_params.n_branches != len(ops) or initial_params.d_in != x.shape[1]:
         raise ConsistencyError("initial_params do not fit this dataset/graph combination")
+    if train_mask is None:
+        train_mask, val_mask = split_masks(dataset, 0.1, 0, config.seed)
+    train_mask = np.asarray(train_mask, dtype=bool)
+    val_mask = np.asarray(val_mask, dtype=bool)
+    if not train_mask.any():
+        raise ParameterError("training set is empty")
+    if not val_mask.any():
+        raise ParameterError("validation set is empty")
+    if np.any(train_mask & ~labeled) or np.any(val_mask & ~labeled):
+        raise ParameterError("train/validation masks must select labeled subjects")
+    if np.any(train_mask & val_mask):
+        raise ParameterError("train and validation masks overlap")
 
-    members = []
-    for seed, train_mask, val_mask in runs:
-        train_mask = np.asarray(train_mask, dtype=bool)
-        val_mask = np.asarray(val_mask, dtype=bool)
-        if not train_mask.any():
-            raise ParameterError("training set is empty")
-        if not val_mask.any():
-            raise ParameterError("validation set is empty")
-        if np.any(train_mask & ~labeled) or np.any(val_mask & ~labeled):
-            raise ParameterError("train/validation masks must select labeled subjects")
-        if np.any(train_mask & val_mask):
-            raise ParameterError("train and validation masks overlap")
-
-        if initial_params is not None:
-            params = initial_params.copy()
-        else:
-            params = init_params(x.shape[1], config.hidden_width, y.shape[1], len(ops), seed=seed)
-        if fixed_omega is not None:
-            params.omega = fixed_omega
-        members.append((seed, params, train_mask, val_mask))
-    return [_train_run(x, y, ops, config, fixed_omega, *member) for member in members]
-
-
-def _train_run(x, y, ops, config, fixed_omega, seed, params, train_mask, val_mask):
-    """Train ``params`` in place until patience runs out or ``max_epochs``; the best ``(params, history, probs)``."""
+    if initial_params is not None:
+        params = initial_params.copy()
+    else:
+        params = init_params(x.shape[1], config.hidden_width, y.shape[1], len(ops), seed=config.seed)
+    if fixed_omega is not None:
+        params.omega = fixed_omega
     state = init_adam_state(params)
     history = TrainHistory(records=[], best_epoch=0)
-    best_val, best_params, best_probs = np.inf, None, None
+    best_val, best_params = np.inf, None
     for epoch in range(1, config.max_epochs + 1):
-        dropout_seed = [seed & 0xFFFFFFFF, 101, epoch] if config.dropout_p > 0.0 else None
+        dropout_seed = [config.seed & 0xFFFFFFFF, 101, epoch] if config.dropout_p > 0.0 else None
         cache = forward(x, ops, params, dropout_seed, config.dropout_p)
         train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
         grads = backward(cache, y, train_mask, config.l2_lambda)
@@ -344,16 +323,16 @@ def _train_run(x, y, ops, config, fixed_omega, seed, params, train_mask, val_mas
         history.records.append(record)
         if record.val_loss < best_val:
             best_val, history.best_epoch = record.val_loss, epoch
-            best_params, best_probs = params.copy(), probs
+            best_params, history.best_probs = params.copy(), probs
         elif epoch - history.best_epoch >= config.early_stop_patience:
             history.stop_reason = "early_stop"
             break
     else:
         history.stop_reason = "max_epochs"
     if not history.best_epoch:
-        raise ParameterError(f"run with seed {seed} reached no finite validation loss in "
+        raise ParameterError(f"run with seed {config.seed} reached no finite validation loss in "
                              f"{len(history)} epochs; try a smaller learning_rate")
-    return best_params, history, best_probs
+    return best_params, history
 
 
 def grad_check(dataset, graphs, params, eps=1e-6, l2_lambda=5e-4):

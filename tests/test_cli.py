@@ -222,6 +222,20 @@ def test_malformed_config_field_is_config_error(synth_dir, tmp_path, capsys, com
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("metric", ["bogus", ["cosine"]])
+@pytest.mark.parametrize("command", ["train", "build-graph", "cv"])
+def test_unknown_metric_is_config_error_without_metadata_sources(synth_dir, tmp_path, capsys, command, metric):
+    # no source builds a metadata graph, so only the config check can see the metric
+    cfg = tmp_path / "cfg.json"
+    payload = {"metric": metric}
+    if command == "cv":
+        payload["arms"] = [{"name": "r", "graph_sources": ["random"]}]
+    cfg.write_text(json.dumps(payload))
+    extra = {"train": ["--graphs", "random"], "build-graph": ["--element", "random"]}
+    code = main([command, *dataset_args(synth_dir), *extra.get(command, []),
+                 "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    one_error_line(capsys, code, f"error:config: {cfg}: 'metric' must be one of 'pearson', 'cosine', got {metric!r}")
+    assert not (tmp_path / "out").exists()
 @pytest.mark.parametrize(
     "setting, value",
     [

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from counting import count_spmm_calls, planned_graphs
 
 import pgcn.crossval
-from pgcn.crossval import Arm, cross_validate
+from pgcn.crossval import Arm, cross_validate, derive_seed
 from pgcn.data import synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
 from pgcn.graphs import build_graph
-from pgcn.training import TrainConfig
+from pgcn.training import TrainConfig, split_masks, train
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +109,25 @@ class TestCrossValidate:
             cross_validate(dataset, arms, quick_config(), repeats=2)
 
 
-class TestCohorts:
-    """An arm's repeats train one after another in one train_cohort call."""
+class TestRepeats:
+    """Each repeat of an arm is one train call on its split with its derived seed."""
 
-    def test_one_product_per_branch_and_stage_per_cohort(self, setup, monkeypatch):
+    def test_each_repeat_is_a_direct_train_call(self, setup):
+        dataset, g_info, g_nui = setup
+        config = quick_config(early_stop_patience=4)
+        arms = [Arm("pair", (g_info, g_nui)), Arm("single", (g_nui,), fixed_omega=(1.0,))]
+        repeats, val_fraction = 3, 0.2
+        report = cross_validate(dataset, arms, config, repeats=repeats, val_fraction=val_fraction)
+        for arm in arms:
+            for r in range(repeats):
+                run_config = replace(config, seed=derive_seed(config.seed, r))
+                masks = split_masks(dataset, val_fraction, r, config.seed)
+                _, history = train(dataset, arm.graphs, run_config, *masks, arm.fixed_omega)
+                kept = report.histories[(arm.name, r)]
+                assert kept == history
+                assert kept.best_probs.tobytes() == history.best_probs.tobytes()
+
+    def test_six_products_per_branch_and_epoch_and_none_to_score(self, setup, monkeypatch):
         dataset, g_info, g_nui = setup
         epochs = 6
         config = quick_config(hidden_width=16, max_epochs=epochs, early_stop_patience=epochs)

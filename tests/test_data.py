@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ class TestLoadDataset:
             "subject_id,a:categorical,a:continuous\ns,M,1.5\nt,F,2.5\n",
             "subject_id,label\ns,0\nt,1\n",
         )
-        with pytest.raises(DataError, match="two metadata columns are named 'a'"):
+        with pytest.raises(DataError, match=re.escape(f"{paths[1]}:1: two metadata columns are named 'a'")):
             load_dataset(*paths)
 
     def test_unparseable_numeric_names_row_and_column(self, tmp_path):
@@ -239,6 +241,7 @@ class TestLoadDataset:
             ("meta", "subject_id,age:continuous\n\na,1\nb,x\n", "4: column 'age': unparseable number 'x'"),
             ("meta", "subject_id,g:categorical\n\na,M\nb\n", "4: expected 2 cells"),
             ("meta", "subject_id,g:categorical\n\na,M\na,F\n", "4: duplicate subject_id 'a'"),
+            ("meta", "\nsubject_id,g:categorical,g:continuous\na,M,1\n", "2: two metadata columns are named 'g'"),
             ("labels", "subject_id,label\n\na,0\nb,x\n", "4: unparseable class index 'x'"),
             ("labels", "subject_id,label\n\na,0\nb,-1\n", "4: class index must be >= 0, got -1"),
             ("labels", "subject_id,label\n\na,0\nb,2\n", "4: class index must be < 2, the subject count, got 2"),
@@ -246,6 +249,7 @@ class TestLoadDataset:
             ("labels", "subject_id,label\n\na,0\nb\n", "4: expected 'subject_id,label'"),
         ],
         ids=["features-number", "features-width", "features-crlf", "meta-number", "meta-cells", "meta-duplicate",
+             "meta-duplicate-column",
              "labels-class", "labels-negative", "labels-beyond-subjects", "labels-duplicate", "labels-cells"],
     )
     def test_fault_after_blank_line_names_file_line(self, tmp_path, target, text, message):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pgcn.experiments import (
     ExperimentConfig,
     build_arm_graphs,
     load_experiment_config,
+    load_graph_config,
     load_train_config,
     rank_report,
     render_rank_report,
@@ -251,6 +253,24 @@ class TestConfigFile:
             path.write_text(text)
             with pytest.raises(ConfigError):
                 load_experiment_config(path)
+
+
+    @pytest.mark.parametrize("metric", ["bogus", ["cosine"], 1, None])
+    @pytest.mark.parametrize("loader", ["experiment", "train", "graph"])
+    def test_unknown_or_non_string_metric_names_the_file(self, tmp_path, loader, metric):
+        path = tmp_path / f"{loader}.json"
+        payload = {"metric": metric}
+        if loader == "experiment":
+            payload["arms"] = [{"name": "a", "graph_sources": ["random"]}]
+        path.write_text(json.dumps(payload))
+        load = {
+            "experiment": load_experiment_config,
+            "train": lambda p: load_train_config(p, ("random",)),
+            "graph": load_graph_config,
+        }[loader]
+        message = f"{path}: 'metric' must be one of 'pearson', 'cosine', got {metric!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load(path)
 
 
 class TestRankReport:

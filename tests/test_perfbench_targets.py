@@ -45,7 +45,7 @@ def test_traced_cv_and_gradcheck_report_every_metric():
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        cross_validate(dataset, [Arm("both", graphs)], TrainConfig(max_epochs=3, hidden_width=4), repeats=2)
+        report = cross_validate(dataset, [Arm("both", graphs)], TrainConfig(max_epochs=3, hidden_width=4), repeats=2)
         grad_check(check_dataset, check_graphs, check_params)
     finally:
         tracer.uninstall()
@@ -56,3 +56,6 @@ def test_traced_cv_and_gradcheck_report_every_metric():
     assert declared <= set(metrics)
     assert all(math.isfinite(value) for value in metrics.values())
     assert metrics["linalg.spmm_calls"] > 0
+    # every training run passes through the traced train
+    assert metrics["training.epochs"] == sum(len(history) for history in report.histories.values())
+    assert metrics["training.train_s"] > 0

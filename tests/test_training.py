@@ -21,7 +21,6 @@ from pgcn.training import (
     loss,
     split_masks,
     train,
-    train_cohort,
 )
 
 
@@ -309,20 +308,37 @@ class TestTrain:
         with pytest.raises(ParameterError, match="train_mask and val_mask go together: pass both or neither"):
             train(dataset, [g_info], self.quick_config(max_epochs=2), **{given: masks[given]})
 
-    def test_fixed_omega_of_wrong_length_rejected_before_any_run(self, monkeypatch):
+    def test_fixed_omega_of_wrong_length_rejected_before_init(self, monkeypatch):
         dataset, g_info, g_nui = planted_setup(seed=8)
-        monkeypatch.setattr(pgcn.training, "init_params", None)  # reaching a run's initialization would raise TypeError
-        for runs in ([(3, *split_masks(dataset, 0.2, 0, 3))], []):
-            with pytest.raises(ParameterError, match=r"fixed omega needs 2 entries, got \(3,\)"):
-                train_cohort(dataset, [g_info, g_nui], self.quick_config(), runs, fixed_omega=(0.2, 0.3, 0.5))
+        monkeypatch.setattr(pgcn.training, "init_params", None)  # reaching the initialization would raise TypeError
+        with pytest.raises(ParameterError, match=r"fixed omega needs 2 entries, got \(3,\)"):
+            train(dataset, [g_info, g_nui], self.quick_config(), fixed_omega=(0.2, 0.3, 0.5))
 
     @pytest.mark.parametrize("shape", ["branches", "features"])
-    def test_initial_params_that_do_not_fit_rejected_before_any_run(self, shape):
+    def test_initial_params_that_do_not_fit_rejected_before_init(self, monkeypatch, shape):
         dataset, g_info, g_nui = planted_setup(n=60, d=8, seed=8)
         params = init_params(8, 4, 2, 1, seed=0) if shape == "branches" else init_params(5, 4, 2, 2, seed=0)
-        for runs in ([(3, *split_masks(dataset, 0.2, 0, 3))], []):
-            with pytest.raises(ConsistencyError, match="initial_params do not fit"):
-                train_cohort(dataset, [g_info, g_nui], self.quick_config(), runs, initial_params=params)
+        monkeypatch.setattr(pgcn.training, "init_params", None)  # reaching the initialization would raise TypeError
+        with pytest.raises(ConsistencyError, match="initial_params do not fit"):
+            train(dataset, [g_info, g_nui], self.quick_config(), initial_params=params)
+
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
+    def test_best_probs_are_the_returned_params_evaluated(self, monkeypatch, dropout_p):
+        dataset, g_info, g_nui = planted_setup(seed=5)
+        config = TrainConfig(max_epochs=60, omega_warmup_epochs=5, early_stop_patience=3, seed=3,
+                             hidden_width=16, dropout_p=dropout_p)
+        widths = count_spmm_calls(monkeypatch)
+        for plan in ("blocks", "csr"):
+            graphs = planned_graphs([g_info, g_nui], plan, monkeypatch)
+            for r, seed in enumerate(range(11, 14)):
+                widths.clear()
+                params, history = train(dataset, graphs, replace(config, seed=seed), *split_masks(dataset, 0.2, r, 7))
+                assert history.best_epoch < len(history)  # the best epoch is not the last one
+                # six products per branch and epoch, on either plan
+                assert len(widths) == 2 * 6 * len(history)
+                assert max(widths) == 16
+                expected = forward(dataset.X, as_operators(graphs), params).probs
+                assert history.best_probs.tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the case under test
     def test_run_that_never_improves_is_parameter_error(self):
@@ -330,37 +346,6 @@ class TestTrain:
         config = self.quick_config(learning_rate=1e300, max_epochs=5, early_stop_patience=2)
         with pytest.raises(ParameterError, match="learning_rate"):
             train(dataset, [g_info], config)
-
-
-class TestTrainCohort:
-    def test_each_run_trains_as_train_would(self):
-        dataset, g_info, g_nui = planted_setup(seed=5)
-        config = TrainConfig(max_epochs=40, omega_warmup_epochs=5, early_stop_patience=3, hidden_width=8)
-        runs = [(seed, *split_masks(dataset, 0.2, r, 7)) for r, seed in enumerate(range(11, 14))]
-        trained = train_cohort(dataset, [g_info, g_nui], config, runs)
-        for (seed, train_mask, val_mask), (params, history, _) in zip(runs, trained):
-            alone, alone_history = train(dataset, [g_info, g_nui], replace(config, seed=seed), train_mask, val_mask)
-            assert params.vector.tobytes() == alone.vector.tobytes()
-            assert history == alone_history
-
-    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
-    def test_probs_are_the_returned_params_evaluated(self, monkeypatch, dropout_p):
-        dataset, g_info, g_nui = planted_setup(seed=5)
-        config = TrainConfig(max_epochs=60, omega_warmup_epochs=5, early_stop_patience=3, seed=3,
-                             hidden_width=16, dropout_p=dropout_p)
-        runs = [(seed, *split_masks(dataset, 0.2, r, 7)) for r, seed in enumerate(range(11, 16))]
-        widths = count_spmm_calls(monkeypatch)
-        for plan in ("blocks", "csr"):
-            graphs = planned_graphs([g_info, g_nui], plan, monkeypatch)
-            widths.clear()
-            trained = train_cohort(dataset, graphs, config, runs)
-            lengths = [len(history) for _, history, _ in trained]
-            assert len(set(lengths)) > 1  # runs stop early at different epochs
-            # six products per branch and epoch of each run, on either plan
-            assert len(widths) == 2 * 6 * sum(lengths)
-            assert max(widths) == 16
-            for params, _, probs in trained:
-                assert probs.tobytes() == forward(dataset.X, as_operators(graphs), params).probs.tobytes()
 
 
 class TestGradCheck:
@@ -419,6 +404,7 @@ class TestHistoryCsv:
         loaded = TrainHistory.from_csv(path)
         assert loaded.records == history.records
         assert loaded.stop_reason is None
+        assert loaded.best_probs is None
 
     def test_malformed_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
