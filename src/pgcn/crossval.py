@@ -3,16 +3,20 @@
 Every repeat draws one stratified train/validation split that is shared
 by all arms, so per-repeat metrics are legitimately paired and the
 reported t-tests are valid.  Each repeat also derives an independent
-training seed from ``(seed, repeat)``.
+training seed from ``(seed, repeat)``.  Runs share no state, so a study
+trains them side by side on the cores that BLAS leaves idle.
 """
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParameterError
 from .stats import accuracy, auc, paired_t_test
-from .training import split_masks, train
+from .training import as_operators, split_masks, train
 
 __all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate", "derive_seed"]
 
@@ -150,6 +154,21 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     recorded as degenerate with nan ``t`` and ``p``, unless every
     training trajectory of the two arms matches, which marks them as
     identical experiments and raises :class:`DegenerateInputError`.
+
+    The arm x repeat runs are handed out in (arm, repeat) order to
+    ``max(1, usable cores // BLAS threads)`` threads, never more than
+    there are runs; the calling thread is one of them.  BLAS threads are
+    read as OpenBLAS reads them: the first of ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that holds a positive
+    integer, else one per usable core, so with none of them set runs
+    train one at a time.  Every operator and its product plan is made
+    before the first run, so the threads share only read-only arrays,
+    and each thread runs in a copy of the caller's context (numpy's
+    ``errstate`` included).  Results are gathered and scored in
+    (arm, repeat) order, so the report, every history and every
+    ``best_probs`` are the same at any thread count.  When runs fail,
+    no further run is handed out and the failure of the first run in
+    (arm, repeat) order is raised, as one thread would have raised it.
     """
     if repeats < 2:
         raise ParameterError(f"need at least 2 repeats, got {repeats}")
@@ -159,16 +178,21 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     if len(set(names)) != len(names):
         raise ConfigError("arm names must be unique")
 
+    for arm in arms:  # operators and plans are derived on first use: make them here, before threads share them
+        for op in as_operators(arm.graphs):
+            op._product_plan()
     binary = dataset.n_classes == 2
     splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
+    runs = [(arm, replace(config, seed=derive_seed(int(config.seed) & 0xFFFFFFFF, r)), train_mask, val_mask)
+            for arm in arms for r, (train_mask, val_mask) in enumerate(splits)]
+    trained = iter(_train_runs(dataset, runs))
     results = []
     histories = {}
     for arm in arms:
         accs = np.zeros(repeats)
         aucs = np.full(repeats, np.nan)
-        for r, (train_mask, val_mask) in enumerate(splits):
-            run_config = replace(config, seed=derive_seed(int(config.seed) & 0xFFFFFFFF, r))
-            _, history = train(dataset, arm.graphs, run_config, train_mask, val_mask, arm.fixed_omega)
+        for r, (_, val_mask) in enumerate(splits):
+            _, history = next(trained)
             probs = history.best_probs
             accs[r] = accuracy(probs, dataset.Y, val_mask)
             if binary:
@@ -203,3 +227,62 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
         seed=config.seed,
         histories=histories,
     )
+
+
+def _run_threads():
+    """How many threads train a study's runs: the usable cores over the BLAS threads, at least one."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = cores
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, cores // blas)
+
+
+def _train_runs(dataset, runs):
+    """``train``'s result for each ``(arm, config, train_mask, val_mask)`` run, in run order.
+
+    Up to :func:`_run_threads` threads, the calling thread among them,
+    take the runs in order.  After a failure no run is handed out; the
+    runs already out finish, and the failure of the earliest run is
+    raised.
+    """
+    results = [None] * len(runs)
+    failures = {}
+    order = iter(range(len(runs)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work():
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(order, None)
+            if i is None:
+                return
+            arm, run_config, train_mask, val_mask = runs[i]
+            try:
+                results[i] = train(dataset, arm.graphs, run_config, train_mask, val_mask, arm.fixed_omega)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+                    stop.set()
+                return
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
+               for _ in range(min(_run_threads(), len(runs)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        stop.set()  # also when the calling thread leaves early, say on KeyboardInterrupt
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results

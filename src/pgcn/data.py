@@ -136,10 +136,15 @@ def synth_generate(n, d, seed, informative_strength=1.0, noise=1.0):
     return dataset, informative, nuisance
 
 
+def _read_lines(path):
+    """``(file line, text)`` for each non-blank line; file lines count from 1."""
+    lines = read_text(path, "utf-8", DataError).split("\n")
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
 def _read_rows(path):
     """``(file line, cells)`` for each non-blank line; file lines count from 1."""
-    lines = read_text(path, "utf-8", DataError).split("\n")
-    return [(lineno, line.split(",")) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    return [(lineno, line.split(",")) for lineno, line in _read_lines(path)]
 
 
 def _number(cell, path, lineno, column):
@@ -150,23 +155,37 @@ def _number(cell, path, lineno, column):
         raise DataError(f"{path}:{lineno}: column {column!r}: unparseable number {cell!r}") from None
 
 
+def _bulk_numbers(lines, shape):
+    """Comma-separated ``lines`` parsed by one ``np.loadtxt`` into a float64 array of ``shape``, or None.
+
+    None means ``np.loadtxt`` rejected the lines or read another shape
+    (it skips a blank line); the caller then parses cell by cell with
+    ``float``, which gives the same bits wherever both accept a cell and
+    also accepts cells such as ``1_0``.
+    """
+    if 0 in shape:  # np.loadtxt warns on input without data
+        return np.empty(shape)
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == shape else None
+
+
 def _parse_features(path):
-    rows = _read_rows(path)
-    if not rows:
+    lines = _read_lines(path)
+    if not lines:
         raise DataError(f"{path}: empty feature file")
-    data, linenos = [], []
-    for lineno, cells in rows:
-        if data and len(cells) != len(data[0]):
-            raise DataError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(cells)}")
-        try:
-            data.append([_number(cell, path, lineno, colno) for colno, cell in enumerate(cells, start=1)])
-            linenos.append(lineno)
-        except DataError:
-            if lineno != rows[0][0]:
-                raise  # a first row that is not all numbers is the header
-    if not data:
+    try:
+        _scan_features(path, lines[:1])
+    except DataError:
+        lines = lines[1:]  # a first row that is not all numbers is the header
+    if not lines:
         raise DataError(f"{path}: no feature rows")
-    x = np.asarray(data, dtype=np.float64)
+    linenos = [lineno for lineno, _ in lines]
+    x = _bulk_numbers([line for _, line in lines], (len(lines), len(lines[0][1].split(","))))
+    if x is None:
+        x = np.array(_scan_features(path, lines), dtype=np.float64)
     # similarity sums squares of (centered) rows, so a row whose sum of squares overflows cannot be weighted
     with np.errstate(over="ignore"):
         square_sums = np.sum(x * x, axis=1)
@@ -175,6 +194,17 @@ def _parse_features(path):
         raise DataError(f"{path}:{linenos[overflow[0]]}: feature values too large: the row's sum of squares "
                         f"exceeds the float64 maximum {np.finfo(np.float64).max:.4g}")
     return x
+
+
+def _scan_features(path, lines):
+    """Feature rows parsed line by line with ``float``; the first faulty line raises :class:`DataError`."""
+    data = []
+    for lineno, line in lines:
+        cells = line.split(",")
+        if data and len(cells) != len(data[0]):
+            raise DataError(f"{path}:{lineno}: expected {len(data[0])} columns, got {len(cells)}")
+        data.append([_number(cell, path, lineno, colno) for colno, cell in enumerate(cells, start=1)])
+    return data
 
 
 def _parse_meta(path):
@@ -189,24 +219,39 @@ def _parse_meta(path):
         if name in dict(columns):
             raise DataError(f"{path}:{rows[0][0]}: two metadata columns are named {name!r}")
         columns.append((name, kind))
-    ids = []
-    values = [[] for _ in columns]
-    seen = set()
+    continuous = [k for k, (_, kind) in enumerate(columns, start=1) if kind == CONTINUOUS]
+    ids, body, seen = [], [], set()
     for lineno, cells in rows[1:]:
         if len(cells) != len(columns) + 1:
-            raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} cells")
-        subject = cells[0]
-        if subject in seen:
-            raise DataError(f"{path}:{lineno}: duplicate subject_id {subject!r}")
-        seen.add(subject)
-        ids.append(subject)
-        for k, ((name, kind), cell) in enumerate(zip(columns, cells[1:])):
-            values[k].append(_number(cell, path, lineno, name) if kind == CONTINUOUS else cell)
-    meta = [
-        MetaColumn(name, kind, np.asarray(vals))
-        for (name, kind), vals in zip(columns, values)
-    ]
+            fault = DataError(f"{path}:{lineno}: expected {len(columns) + 1} cells")
+        elif cells[0] in seen:
+            fault = DataError(f"{path}:{lineno}: duplicate subject_id {cells[0]!r}")
+        else:
+            seen.add(cells[0])
+            ids.append(cells[0])
+            body.append((lineno, cells))
+            continue
+        _continuous_values(path, columns, continuous, body)  # a number faulty before this line is named first
+        raise fault
+    numbers = _continuous_values(path, columns, continuous, body)
+    meta = []
+    for k, (name, kind) in enumerate(columns, start=1):
+        if kind == CONTINUOUS:
+            values = np.array(numbers[:, continuous.index(k)])
+        else:
+            values = np.asarray([cells[k] for _, cells in body])
+        meta.append(MetaColumn(name, kind, values))
     return ids, meta
+
+
+def _continuous_values(path, columns, continuous, body):
+    """The continuous cells of the ``(file line, cells)`` rows in ``body``, one row per line and one column each."""
+    lines = [",".join([cells[k] for k in continuous]) for _, cells in body]
+    values = _bulk_numbers(lines, (len(body), len(continuous)))
+    if values is None:
+        values = np.array([[_number(cells[k], path, lineno, columns[k - 1][0]) for k in continuous]
+                           for lineno, cells in body])
+    return values
 
 
 def _parse_labels(path, n_subjects):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .crossval import Arm, cross_validate, derive_seed
 from .errors import ConfigError, DataError, ParameterError, read_text
-from .graphs import SIMILARITY_METRICS, build_graph, load_edge_list, random_graph
+from .graphs import DEFAULT_METRIC, SIMILARITY_METRICS, build_graph, load_edge_list, random_graph
 from .training import TrainConfig, TrainHistory
 
 __all__ = [
@@ -52,7 +52,7 @@ class ExperimentConfig:
     repeats: int = 10
     val_fraction: float = 0.1
     betas: dict | None = None   # per-column thresholds for continuous columns
-    metric: str = "pearson"
+    metric: str = DEFAULT_METRIC
 
     def __post_init__(self):
         object.__setattr__(self, "arms", tuple(self.arms))
@@ -154,7 +154,7 @@ def _read_config(path, extra_keys):
     betas = payload.get("betas", {})
     if not isinstance(betas, dict):
         raise ConfigError(f"{path}: 'betas' must be an object")
-    metric = payload.get("metric", "pearson")
+    metric = payload.get("metric", DEFAULT_METRIC)
     if not isinstance(metric, str) or metric not in SIMILARITY_METRICS:
         names = ", ".join(map(repr, SIMILARITY_METRICS))
         raise ConfigError(f"{path}: 'metric' must be one of {names}, got {metric!r}")

@@ -47,8 +47,9 @@ CONTINUOUS = "continuous"
 
 DEFAULT_BETA = 2.0
 
-# The feature-similarity metrics build_graph and similarity_matrix take; pearson is the default.
-SIMILARITY_METRICS = ("pearson", "cosine")
+# The feature-similarity metrics build_graph and similarity_matrix take, and the one they and a config default to.
+DEFAULT_METRIC = "pearson"
+SIMILARITY_METRICS = (DEFAULT_METRIC, "cosine")
 
 # Bytes per vertex sized from an edge list's header: load_edge_list, and normalize when the loaded graph's
 # operator is first used, each hold at most twelve N-entry arrays of 8-byte values at once.
@@ -215,7 +216,7 @@ def _edge_pairs(col, members, start, stop):
     return rows, cols
 
 
-def similarity_matrix(x, metric="pearson"):
+def similarity_matrix(x, metric=DEFAULT_METRIC):
     """Pairwise feature similarity between subjects (rows of ``x``).
 
     ``pearson`` (the default) is the correlation coefficient of the two
@@ -358,7 +359,7 @@ def random_graph(n, density, seed):
     return AffinityGraph(weights, "random")
 
 
-def build_graph(col, features, beta=None, metric="pearson"):
+def build_graph(col, features, beta=None, metric=DEFAULT_METRIC):
     """Full pipeline for one metadata element: edges, then similarity weights on them.
 
     Holds no N x N array.  The edge entries are counted before any array

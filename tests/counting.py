@@ -1,10 +1,12 @@
-"""Operator-product and normalization counting shared by the test modules."""
+"""Operator-product and normalization counting, and run-thread forcing, shared by the test modules."""
 
 import sys
+import threading
 
 import numpy as np
 import scipy.sparse
 
+import pgcn.crossval
 import pgcn.graphs
 import pgcn.linalg
 
@@ -66,3 +68,27 @@ def plan_kind(s):
     if scipy.sparse.issparse(plan):
         return "csr"
     return "whole" if isinstance(plan, np.ndarray) else "blocks"
+
+
+def force_run_threads(monkeypatch, k):
+    """Make ``cross_validate`` train its runs on ``k`` threads, whatever the cores and BLAS threads.
+
+    For ``k > 1`` the first ``k`` runs wait for each other before they
+    train, so they train on ``k`` different threads even on one core.
+    Returns the list that receives the thread of every run, in call order.
+    """
+    monkeypatch.setattr(pgcn.crossval, "_run_threads", lambda: k)
+    original = pgcn.crossval.train
+    barrier, lock = threading.Barrier(k, timeout=60), threading.Lock()
+    threads = []
+
+    def spread(*args):
+        with lock:
+            threads.append(threading.get_ident())
+            first = len(threads) <= k
+        if first and k > 1:
+            barrier.wait()
+        return original(*args)
+
+    monkeypatch.setattr(pgcn.crossval, "train", spread)
+    return threads

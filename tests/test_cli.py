@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
-from counting import count_normalize
+from counting import count_normalize, force_run_threads
 
 import pgcn
 import pgcn.cli
+import pgcn.crossval
 import pgcn.experiments
 from pgcn.cli import main
 from pgcn.model import load_checkpoint
@@ -632,6 +634,25 @@ def test_warnings_of_a_run_that_succeeds_are_printed_after_it(monkeypatch, capsy
     with pytest.warns(UserWarning, match="held back"):
         assert main(["synth"]) == 0
     assert capsys.readouterr().out == "done\n"
+
+
+def test_warnings_of_run_threads_are_printed_after_the_command(synth_dir, tmp_path, monkeypatch):
+    original = pgcn.crossval.train
+    shown_during_run = []
+
+    def overflowing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            np.float64(1e308) * np.float64(10.0)  # numpy's overflow RuntimeWarning, raised in a helper thread
+            shown_during_run.append(len(shown))
+        return original(*args)
+
+    monkeypatch.setattr(pgcn.crossval, "train", overflowing)
+    threads = force_run_threads(monkeypatch, 3)
+    cfg = TestCv().write_config(tmp_path)
+    with pytest.warns(RuntimeWarning, match="overflow") as shown:
+        assert main(["cv", *dataset_args(synth_dir), "--config", str(cfg), "--out-dir", str(tmp_path / "cv")]) == 0
+    assert len(set(threads)) == 3
+    assert shown_during_run and set(shown_during_run) == {0}  # held back while the command ran
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import pgcn.data
 from pgcn.data import Dataset, load_dataset, synth_generate, write_dataset
 from pgcn.errors import ConfigError, DataError, ParameterError
 from pgcn.graphs import MetaColumn
@@ -241,6 +242,8 @@ class TestLoadDataset:
             ("meta", "subject_id,age:continuous\n\na,1\nb,x\n", "4: column 'age': unparseable number 'x'"),
             ("meta", "subject_id,g:categorical\n\na,M\nb\n", "4: expected 2 cells"),
             ("meta", "subject_id,g:categorical\n\na,M\na,F\n", "4: duplicate subject_id 'a'"),
+            ("meta", "subject_id,age:continuous\n\na,x\nb\n", "3: column 'age': unparseable number 'x'"),
+            ("meta", "subject_id,age:continuous\n\na,1\nb,\n", "4: column 'age': unparseable number ''"),
             ("meta", "\nsubject_id,g:categorical,g:continuous\na,M,1\n", "2: two metadata columns are named 'g'"),
             ("labels", "subject_id,label\n\na,0\nb,x\n", "4: unparseable class index 'x'"),
             ("labels", "subject_id,label\n\na,0\nb,-1\n", "4: class index must be >= 0, got -1"),
@@ -249,7 +252,7 @@ class TestLoadDataset:
             ("labels", "subject_id,label\n\na,0\nb\n", "4: expected 'subject_id,label'"),
         ],
         ids=["features-number", "features-width", "features-crlf", "meta-number", "meta-cells", "meta-duplicate",
-             "meta-duplicate-column",
+             "meta-number-before-cells", "meta-empty-number", "meta-duplicate-column",
              "labels-class", "labels-negative", "labels-beyond-subjects", "labels-duplicate", "labels-cells"],
     )
     def test_fault_after_blank_line_names_file_line(self, tmp_path, target, text, message):
@@ -264,6 +267,35 @@ class TestLoadDataset:
         with pytest.raises(DataError) as exc:
             load_dataset(*paths)
         assert str(exc.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("features, meta", [
+        ("f0,f1,f2\n1.5,+.5,-0\n 2e-3 ,1e-400,4.9406564584124654e-324\r\n", "a,15,M,-0\nb, 7 ,F,+.25\n"),
+        ("f0,f1,f2\n1_0,+.5,-0\n 2e-3 ,1e-400,4.9406564584124654e-324\n", "a,1_5,M,-0\nb, 7 ,F,+.25\n"),
+    ], ids=["bulk", "underscores"])
+    def test_numbers_are_the_bits_float_reads(self, tmp_path, features, meta):
+        # np.loadtxt reads the first files whole; it rejects 1_0, which float accepts, so the second go cell by cell
+        meta = "subject_id,age:continuous,g:categorical,h:continuous\n" + meta
+        paths = self.write(tmp_path, features, meta, "subject_id,label\na,0\nb,1\n")
+        dataset = load_dataset(*paths)
+        x = np.array([[float(c) for c in line.split(",")] for line in features.splitlines()[1:]])
+        assert dataset.X.dtype == np.float64 and dataset.X.tobytes() == x.tobytes()
+        cells = [line.split(",") for line in meta.splitlines()[1:]]
+        for k, name in ((1, "age"), (3, "h")):
+            values = dataset.column(name).values
+            assert values.dtype == np.float64 and values.tobytes() == np.array([float(c[k]) for c in cells]).tobytes()
+        assert dataset.column("g").values.tolist() == ["M", "F"]
+
+    def test_clean_files_are_parsed_in_bulk(self, tmp_path, monkeypatch):
+        calls = []
+        original = pgcn.data._number
+        monkeypatch.setattr(pgcn.data, "_number", lambda *args: calls.append(args) or original(*args))
+        dataset, _, _ = synth_generate(40, 6, seed=2)
+        dataset.meta.append(pgcn.data.MetaColumn("age", "continuous", np.linspace(20.0, 60.0, 40)))
+        paths = write_dataset(dataset, tmp_path)
+        loaded = load_dataset(*paths)
+        assert loaded.X.tobytes() == dataset.X.tobytes()
+        assert loaded.column("age").values.tobytes() == dataset.column("age").values.tobytes()
+        assert [cell for cell, *_ in calls] == ["f0"]  # the header probe; no cell is parsed on its own
 
     def test_labels_match_a_per_subject_build(self, tmp_path):
         paths = self.write(

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -17,7 +18,7 @@ from pgcn.experiments import (
     render_rank_report,
     run_experiment,
 )
-from pgcn.graphs import MetaColumn, random_graph, save_edge_list
+from pgcn.graphs import DEFAULT_METRIC, MetaColumn, build_graph, random_graph, save_edge_list, similarity_matrix
 from pgcn.training import TrainConfig
 
 
@@ -227,6 +228,18 @@ class TestConfigFile:
         config = load_train_config(None, ("informative", "nuisance"))
         assert config == ExperimentConfig(arms=(Arm("train", ("informative", "nuisance")),), train=TrainConfig(),
                                           betas={}, metric="pearson")
+
+    def test_default_metric_has_one_home(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"arms": [{"name": "a", "graph_sources": ["informative"]}]}))
+        defaults = {
+            "ExperimentConfig": ExperimentConfig(arms=(Arm("a", ("informative",)),)).metric,
+            "config file": load_experiment_config(path).metric,
+            "graph config": load_graph_config(None)[1],
+            "build_graph": inspect.signature(build_graph).parameters["metric"].default,
+            "similarity_matrix": inspect.signature(similarity_matrix).parameters["metric"].default,
+        }
+        assert defaults == dict.fromkeys(defaults, DEFAULT_METRIC)
 
     def test_train_config_file(self, tmp_path):
         path = tmp_path / "train.json"
