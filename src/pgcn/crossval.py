@@ -154,6 +154,8 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     recorded as degenerate with nan ``t`` and ``p``, unless every
     training trajectory of the two arms matches, which marks them as
     identical experiments and raises :class:`DegenerateInputError`.
+    With two classes, a split whose validation set lacks a class leaves
+    AUC undefined and raises :class:`ParameterError` before any run trains.
 
     The arm x repeat runs are handed out in (arm, repeat) order to
     ``max(1, usable cores // BLAS threads)`` threads, never more than
@@ -183,6 +185,12 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
             op._product_plan()
     binary = dataset.n_classes == 2
     splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
+    labels = dataset.labels()
+    for cls in (0, 1) if binary else ():  # AUC needs both classes in every validation set
+        if not all(np.any(val_mask & (labels == cls)) for _, val_mask in splits):
+            count = np.count_nonzero(dataset.labeled_mask & (labels == cls))
+            raise ParameterError(f"AUC is undefined: class {cls} has {count} labeled subjects, and "
+                                 f"val_fraction {val_fraction!r} puts none of them in a validation set")
     runs = [(arm, replace(config, seed=derive_seed(int(config.seed) & 0xFFFFFFFF, r)), train_mask, val_mask)
             for arm in arms for r, (train_mask, val_mask) in enumerate(splits)]
     trained = iter(_train_runs(dataset, runs))
@@ -196,7 +204,7 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
             probs = history.best_probs
             accs[r] = accuracy(probs, dataset.Y, val_mask)
             if binary:
-                aucs[r] = auc(probs[val_mask, 1], dataset.labels()[val_mask])
+                aucs[r] = auc(probs[val_mask, 1], labels[val_mask])
             histories[(arm.name, r)] = history
         results.append(ArmResult(name=arm.name, accuracies=accs, aucs=aucs))
 

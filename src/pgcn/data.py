@@ -155,23 +155,6 @@ def _number(cell, path, lineno, column):
         raise DataError(f"{path}:{lineno}: column {column!r}: unparseable number {cell!r}") from None
 
 
-def _bulk_numbers(lines, shape):
-    """Comma-separated ``lines`` parsed by one ``np.loadtxt`` into a float64 array of ``shape``, or None.
-
-    None means ``np.loadtxt`` rejected the lines or read another shape
-    (it skips a blank line); the caller then parses cell by cell with
-    ``float``, which gives the same bits wherever both accept a cell and
-    also accepts cells such as ``1_0``.
-    """
-    if 0 in shape:  # np.loadtxt warns on input without data
-        return np.empty(shape)
-    try:
-        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape == shape else None
-
-
 def _parse_features(path):
     lines = _read_lines(path)
     if not lines:
@@ -183,8 +166,11 @@ def _parse_features(path):
     if not lines:
         raise DataError(f"{path}: no feature rows")
     linenos = [lineno for lineno, _ in lines]
-    x = _bulk_numbers([line for _, line in lines], (len(lines), len(lines[0][1].split(","))))
-    if x is None:
+    try:  # where np.loadtxt misses (a cell such as 1_0, a ragged row) float reads line by line, to the same bits
+        x = np.loadtxt([line for _, line in lines], dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        x = np.empty(0)
+    if x.shape != (len(lines), len(lines[0][1].split(","))):
         x = np.array(_scan_features(path, lines), dtype=np.float64)
     # similarity sums squares of (centered) rows, so a row whose sum of squares overflows cannot be weighted
     with np.errstate(over="ignore"):
@@ -208,6 +194,12 @@ def _scan_features(path, lines):
 
 
 def _parse_meta(path):
+    """Subject ids and metadata columns, read in one pass over the lines.
+
+    Each line's cell count and subject id are checked first, then its
+    continuous cells are parsed with ``float``, so the first faulty line
+    raises :class:`DataError`.
+    """
     rows = _read_rows(path)
     if not rows or rows[0][1][0] != "subject_id":
         raise DataError(f"{path}: metadata header must start with 'subject_id'")
@@ -220,38 +212,18 @@ def _parse_meta(path):
             raise DataError(f"{path}:{rows[0][0]}: two metadata columns are named {name!r}")
         columns.append((name, kind))
     continuous = [k for k, (_, kind) in enumerate(columns, start=1) if kind == CONTINUOUS]
-    ids, body, seen = [], [], set()
+    body, seen = [], set()
     for lineno, cells in rows[1:]:
         if len(cells) != len(columns) + 1:
-            fault = DataError(f"{path}:{lineno}: expected {len(columns) + 1} cells")
-        elif cells[0] in seen:
-            fault = DataError(f"{path}:{lineno}: duplicate subject_id {cells[0]!r}")
-        else:
-            seen.add(cells[0])
-            ids.append(cells[0])
-            body.append((lineno, cells))
-            continue
-        _continuous_values(path, columns, continuous, body)  # a number faulty before this line is named first
-        raise fault
-    numbers = _continuous_values(path, columns, continuous, body)
-    meta = []
-    for k, (name, kind) in enumerate(columns, start=1):
-        if kind == CONTINUOUS:
-            values = np.array(numbers[:, continuous.index(k)])
-        else:
-            values = np.asarray([cells[k] for _, cells in body])
-        meta.append(MetaColumn(name, kind, values))
-    return ids, meta
-
-
-def _continuous_values(path, columns, continuous, body):
-    """The continuous cells of the ``(file line, cells)`` rows in ``body``, one row per line and one column each."""
-    lines = [",".join([cells[k] for k in continuous]) for _, cells in body]
-    values = _bulk_numbers(lines, (len(body), len(continuous)))
-    if values is None:
-        values = np.array([[_number(cells[k], path, lineno, columns[k - 1][0]) for k in continuous]
-                           for lineno, cells in body])
-    return values
+            raise DataError(f"{path}:{lineno}: expected {len(columns) + 1} cells")
+        if cells[0] in seen:
+            raise DataError(f"{path}:{lineno}: duplicate subject_id {cells[0]!r}")
+        seen.add(cells[0])
+        for k in continuous:
+            cells[k] = _number(cells[k], path, lineno, columns[k - 1][0])
+        body.append(cells)
+    meta = [MetaColumn(name, kind, [cells[k] for cells in body]) for k, (name, kind) in enumerate(columns, start=1)]
+    return [cells[0] for cells in body], meta
 
 
 def _parse_labels(path, n_subjects):
@@ -306,6 +278,12 @@ def write_dataset(dataset, out_dir):
 
     Returns ``(features_path, meta_path, labels_path)``.
     """
+    fields = [("subject id", dataset.subject_ids)]
+    fields += [(f"categorical code in {c.name!r}", c.values) for c in dataset.meta if c.kind == CATEGORICAL]
+    for what, values in fields:  # load_dataset splits cells at commas and lines at \n and \r
+        bad = [str(v) for v in values if any(ch in str(v) for ch in ",\n\r")]
+        if bad:
+            raise DataError(f"{what} cannot contain a comma or a line break: {bad[0]!r}")
     os.makedirs(out_dir, exist_ok=True)
     features_path = os.path.join(out_dir, "features.csv")
     meta_path = os.path.join(out_dir, "meta.csv")
@@ -316,11 +294,6 @@ def write_dataset(dataset, out_dir):
         for row in dataset.X:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-    for col in dataset.meta:
-        if col.kind == CATEGORICAL:
-            bad = [v for v in col.values if "," in v or "\n" in v]
-            if bad:
-                raise DataError(f"categorical code {bad[0]!r} in {col.name!r} cannot contain commas")
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
         header = ["subject_id"] + [f"{c.name}:{c.kind}" for c in dataset.meta]
         fh.write(",".join(header) + "\n")

@@ -139,35 +139,27 @@ def _dropout_mask(rng, shape, p):
     return keep / (1.0 - p)
 
 
-def _check_branch(x, theta0, theta1):
-    if x.shape[1] != theta0.shape[0]:
-        raise ShapeError(f"features {x.shape} do not match layer-1 weights {theta0.shape}")
-    if theta0.shape[1] != theta1.shape[0]:
-        raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
-
-
-def _branch(a_hat, dropped0, theta0, theta1, mask1):
-    """One branch from its dropped layer-1 input and layer-2 mask: two operator products, at widths h and K."""
-    preact = spmm(a_hat, dropped0 @ theta0)
-    hidden = relu(preact)
-    dropped1 = hidden if mask1 is None else hidden * mask1
-    logits = spmm(a_hat, dropped1 @ theta1)
-    return BranchCache(dropped0, preact, dropped1, logits, mask1)
-
-
 def branch_forward(x, a_hat, theta0, theta1, dropout=None):
     """One branch: two graph convolutions over a single normalized operator.
 
     ``dropout`` is either None (evaluation) or a pair of pre-scaled masks
-    applied to the inputs of layer 1 and layer 2 respectively.  Each layer
-    multiplies by its weights before it propagates, so the operator runs
-    over h columns in layer 1 and K in layer 2.
+    applied to the inputs of layer 1 and layer 2 respectively; either
+    mask may be None.  Each layer multiplies by its weights before it
+    propagates, so the operator runs over h columns in layer 1 and K in
+    layer 2.
     """
     x = as_dense(x, "features")
-    _check_branch(x, theta0, theta1)
+    if x.shape[1] != theta0.shape[0]:
+        raise ShapeError(f"features {x.shape} do not match layer-1 weights {theta0.shape}")
+    if theta0.shape[1] != theta1.shape[0]:
+        raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
     mask0, mask1 = (None, None) if dropout is None else dropout
-    cache = _branch(a_hat, x if mask0 is None else x * mask0, theta0, theta1, mask1)
-    return cache, cache.logits
+    dropped0 = x if mask0 is None else x * mask0
+    preact = spmm(a_hat, dropped0 @ theta0)
+    hidden = relu(preact)
+    dropped1 = hidden if mask1 is None else hidden * mask1
+    logits = spmm(a_hat, dropped1 @ theta1)
+    return BranchCache(dropped0, preact, dropped1, logits, mask1), logits
 
 
 def rank_combine(branch_logits, omega):
@@ -188,29 +180,28 @@ def rank_combine(branch_logits, omega):
 
 
 def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
-    """Full model evaluation over all branches.
+    """Full model evaluation: one :func:`branch_forward` per graph, fused by :func:`rank_combine`.
 
-    ``dropout_p`` must lie in [0, 1).  With ``dropout_seed=None`` (or
-    ``dropout_p=0``) the pass is deterministic (evaluation mode);
+    ``dropout_p`` must lie in [0, 1).  With ``dropout_seed=None`` or
+    ``dropout_p=0`` the pass is deterministic (evaluation mode);
     otherwise per-branch masks are drawn from a generator seeded with
-    ``dropout_seed`` and applied to each layer's input.  Each branch runs
-    two operator products, at widths h and K.
+    ``dropout_seed`` and applied to each layer's input.  The layer-1 mask
+    is applied here, so only the masked features outlive it.  Each
+    branch runs two operator products, at widths h and K.
     """
     x = as_dense(x, "features")
     if not 0.0 <= dropout_p < 1.0:
         raise ParameterError(f"dropout rate must lie in [0, 1), got {dropout_p}")
     if len(graphs) != params.n_branches:
         raise ShapeError(f"{len(graphs)} graphs for {params.n_branches} branches")
-    for m in range(params.n_branches):
-        _check_branch(x, params.theta0[m], params.theta1[m])
     rng = None if dropout_seed is None or dropout_p == 0.0 else np.random.default_rng(dropout_seed)
     branches = []
-    for m, a_hat in enumerate(graphs):
-        dropped0, mask1 = x, None
+    for a_hat, theta0, theta1 in zip(graphs, params.theta0, params.theta1):
+        dropped0, dropout = x, None
         if rng is not None:
             dropped0 = x * _dropout_mask(rng, x.shape, dropout_p)
-            mask1 = _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p)
-        branches.append(_branch(a_hat, dropped0, params.theta0[m], params.theta1[m], mask1))
+            dropout = (None, _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p))
+        branches.append(branch_forward(dropped0, a_hat, theta0, theta1, dropout)[0])
     _, probs = rank_combine([br.logits for br in branches], params.omega)
     return ForwardCache(branches=branches, graphs=list(graphs), probs=probs, params=params)
 

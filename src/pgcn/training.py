@@ -296,8 +296,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     history = TrainHistory(records=[], best_epoch=0)
     best_val, best_params = np.inf, None
     for epoch in range(1, config.max_epochs + 1):
-        dropout_seed = [config.seed & 0xFFFFFFFF, 101, epoch] if config.dropout_p > 0.0 else None
-        cache = forward(x, ops, params, dropout_seed, config.dropout_p)
+        cache = forward(x, ops, params, [config.seed & 0xFFFFFFFF, 101, epoch], config.dropout_p)
         train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
         grads = backward(cache, y, train_mask, config.l2_lambda)
         if fixed_omega is not None or epoch <= config.omega_warmup_epochs:

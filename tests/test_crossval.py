@@ -9,7 +9,7 @@ from counting import count_spmm_calls, force_run_threads, planned_graphs
 
 import pgcn.crossval
 from pgcn.crossval import Arm, cross_validate, derive_seed
-from pgcn.data import synth_generate
+from pgcn.data import Dataset, synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
 from pgcn.graphs import build_graph
 from pgcn.training import TrainConfig, split_masks, train
@@ -104,6 +104,18 @@ class TestCrossValidate:
         dataset, g_info, _ = setup
         with pytest.raises(ParameterError):
             cross_validate(dataset, [Arm("a", (g_info,))], quick_config(), repeats=1)
+
+    def test_split_without_a_class_fails_before_any_run_trains(self, setup, monkeypatch):
+        dataset, g_info, _ = setup
+        labeled = dataset.labeled_mask.copy()
+        labeled[np.flatnonzero(dataset.labels() == 1)[3:]] = False  # class 1 keeps 3 labeled subjects
+        sparse = Dataset(dataset.subject_ids, dataset.X, dataset.meta, dataset.Y, labeled)
+        calls = []
+        monkeypatch.setattr(pgcn.crossval, "train", lambda *args: calls.append(args))
+        message = "class 1 has 3 labeled subjects, and val_fraction 0.1 puts none of them in a validation set"
+        with pytest.raises(ParameterError, match=message):
+            cross_validate(sparse, [Arm("a", (g_info,))], quick_config(), repeats=3, val_fraction=0.1)
+        assert calls == []
 
     def test_duplicate_names_rejected(self, setup):
         dataset, g_info, g_nui = setup

@@ -105,6 +105,23 @@ class TestRoundTrip:
             assert a.kind == b.kind
             np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("where", ["id", "code"])
+    @pytest.mark.parametrize("char", [",", "\n", "\r"])
+    def test_value_that_would_split_a_cell_or_line_is_refused_before_writing(self, tmp_path, where, char):
+        dataset, _, nuisance = synth_generate(20, 3, seed=5)
+        bad = f"a{char}b"
+        ids = list(dataset.subject_ids)
+        codes = nuisance.values.tolist()
+        if where == "id":
+            ids[3] = bad
+        else:
+            codes[3] = bad
+        meta = [dataset.meta[0], MetaColumn("nuisance", "categorical", codes)]
+        broken = Dataset(ids, dataset.X, meta, dataset.Y, dataset.labeled_mask)
+        with pytest.raises(DataError, match=f"cannot contain a comma or a line break: {re.escape(repr(bad))}$"):
+            write_dataset(broken, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_continuous_column_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ages = rng.uniform(20, 80, size=20)
@@ -295,7 +312,10 @@ class TestLoadDataset:
         loaded = load_dataset(*paths)
         assert loaded.X.tobytes() == dataset.X.tobytes()
         assert loaded.column("age").values.tobytes() == dataset.column("age").values.tobytes()
-        assert [cell for cell, *_ in calls] == ["f0"]  # the header probe; no cell is parsed on its own
+        assert [cell for cell, path, *_ in calls if path == paths[0]] == ["f0"]  # the header probe; no row on its own
+        # the line pass parses each continuous meta cell exactly once
+        assert [(lineno, column) for _, path, lineno, column in calls if path == paths[1]] == \
+            [(lineno, "age") for lineno in range(2, 42)]
 
     def test_labels_match_a_per_subject_build(self, tmp_path):
         paths = self.write(
