@@ -38,7 +38,7 @@ from .training import grad_check, train
 
 GRADCHECK_THRESHOLD = 1e-5
 # Every gradcheck instance: subjects, features, hidden units, classes,
-# branches, labeled subjects, and the L2 weight of the redraw test.
+# branches, labeled subjects, and the L2 weight of the check and its redraw test.
 GRADCHECK_N, GRADCHECK_D, GRADCHECK_H, GRADCHECK_K, GRADCHECK_M = 12, 5, 4, 2, 2
 GRADCHECK_LABELED = 8
 GRADCHECK_L2 = 5e-4
@@ -169,7 +169,7 @@ def cmd_gradcheck(args):
     worst = 0.0
     for seed in range(start, start + args.count):
         dataset, graphs, params = gradcheck_instance(seed)
-        err = grad_check(dataset, graphs, params, eps=args.eps, l2_lambda=args.l2)
+        err = grad_check(dataset, graphs, params, l2_lambda=GRADCHECK_L2)
         worst = max(worst, err)
         print(f"seed {seed} max_rel_error {err:.3e}")
     print(f"overall max_rel_error {worst:.3e} threshold {GRADCHECK_THRESHOLD:.0e}")
@@ -224,8 +224,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--count", type=int, default=10, help="number of seeded instances")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--l2", type=float, default=5e-4)
     _add_common(p, out_dir=False, config=False)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParameterError, read_text
+from .errors import ConfigError, DataError, ParameterError, read_lines
 from .graphs import CATEGORICAL, CONTINUOUS, MetaColumn
 
 __all__ = ["Dataset", "synth_generate", "load_dataset", "write_dataset"]
@@ -48,10 +48,11 @@ class Dataset:
         n = len(self.subject_ids)
         if len(set(self.subject_ids)) != n:
             raise DataError("duplicate subject ids")
-        if self.X.ndim != 2 or self.X.shape[0] != n:
-            raise DataError(f"feature matrix has {self.X.shape[0]} rows for {n} subjects")
+        if self.X.ndim != 2 or self.X.shape[0] != n or self.X.shape[1] < 1:
+            raise DataError(f"feature matrix of shape {self.X.shape} needs {n} rows, one per subject, and a column")
         if not np.all(np.isfinite(self.X)):
             raise DataError("features contain non-finite values")
+        _refuse_overflow(self.X, lambda row: f"subject {self.subject_ids[row]!r}")
         if self.Y.shape[0] != n or self.labeled_mask.shape != (n,):
             raise DataError("labels and mask must cover every subject")
         if self.Y.ndim != 2 or self.Y.shape[1] < 2:
@@ -136,15 +137,9 @@ def synth_generate(n, d, seed, informative_strength=1.0, noise=1.0):
     return dataset, informative, nuisance
 
 
-def _read_lines(path):
-    """``(file line, text)`` for each non-blank line; file lines count from 1."""
-    lines = read_text(path, "utf-8", DataError).split("\n")
-    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
-
-
 def _read_rows(path):
     """``(file line, cells)`` for each non-blank line; file lines count from 1."""
-    return [(lineno, line.split(",")) for lineno, line in _read_lines(path)]
+    return [(lineno, line.split(",")) for lineno, line in read_lines(path, "utf-8", DataError)]
 
 
 def _number(cell, path, lineno, column):
@@ -156,7 +151,7 @@ def _number(cell, path, lineno, column):
 
 
 def _parse_features(path):
-    lines = _read_lines(path)
+    lines = read_lines(path, "utf-8", DataError)
     if not lines:
         raise DataError(f"{path}: empty feature file")
     try:
@@ -172,14 +167,17 @@ def _parse_features(path):
         x = np.empty(0)
     if x.shape != (len(lines), len(lines[0][1].split(","))):
         x = np.array(_scan_features(path, lines), dtype=np.float64)
-    # similarity sums squares of (centered) rows, so a row whose sum of squares overflows cannot be weighted
-    with np.errstate(over="ignore"):
-        square_sums = np.sum(x * x, axis=1)
-    overflow = np.flatnonzero(np.isinf(square_sums))
-    if overflow.size:
-        raise DataError(f"{path}:{linenos[overflow[0]]}: feature values too large: the row's sum of squares "
-                        f"exceeds the float64 maximum {np.finfo(np.float64).max:.4g}")
+    _refuse_overflow(x, lambda row: f"{path}:{linenos[row]}")
     return x
+
+
+def _refuse_overflow(x, where):
+    """Refuse, at ``where(row)``, the first row whose sum of squares overflows: similarity could not weight it."""
+    with np.errstate(over="ignore"):
+        rows = np.flatnonzero(np.isinf(np.sum(x * x, axis=1)))
+    if rows.size:
+        raise DataError(f"{where(rows[0])}: feature values too large: the row's sum of squares "
+                        f"exceeds the float64 maximum {np.finfo(np.float64).max:.4g}")
 
 
 def _scan_features(path, lines):
@@ -229,7 +227,7 @@ def _parse_meta(path):
 def _parse_labels(path, n_subjects):
     """Map each labeled subject to its class index, which must lie below ``n_subjects``."""
     rows = _read_rows(path)
-    start = 1 if rows and rows[0][1][:2] == ["subject_id", "label"] else 0
+    start = 1 if rows and rows[0][1] == ["subject_id", "label"] else 0
     mapping = {}
     for lineno, cells in rows[start:]:
         if len(cells) != 2:
@@ -276,14 +274,31 @@ def load_dataset(features_path, meta_path, labels_path):
 def write_dataset(dataset, out_dir):
     """Write the three CSV files; values carry 17 significant digits.
 
+    A dataset that :func:`load_dataset` could not read back as written
+    raises :class:`DataError` before any file or directory is created.
     Returns ``(features_path, meta_path, labels_path)``.
     """
-    fields = [("subject id", dataset.subject_ids)]
+    names = [c.name for c in dataset.meta]
+    bad = [name for name in names if not name or ":" in name]  # meta.csv declares each column as name:kind
+    if bad:
+        raise DataError(f"metadata column name cannot be empty or contain a colon: {bad[0]!r}")
+    fields = [("subject id", dataset.subject_ids), ("metadata column name", names)]
     fields += [(f"categorical code in {c.name!r}", c.values) for c in dataset.meta if c.kind == CATEGORICAL]
     for what, values in fields:  # load_dataset splits cells at commas and lines at \n and \r
-        bad = [str(v) for v in values if any(ch in str(v) for ch in ",\n\r")]
+        text = [str(v) for v in values]
+        bad = [t for t in text if any(ch in t for ch in ",\n\r")]
         if bad:
             raise DataError(f"{what} cannot contain a comma or a line break: {bad[0]!r}")
+        try:
+            "".join(text).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{what} cannot contain {exc.object[exc.start]!r}, which UTF-8 cannot encode") from None
+    if not dataset.meta and not all(str(s).strip() for s in dataset.subject_ids):  # its meta.csv line is blank
+        raise DataError("with no metadata column, a subject id cannot be blank")
+    k, n = dataset.n_classes, dataset.n_subjects  # load_dataset counts classes up to the highest label, below n
+    if dataset.labels()[dataset.labeled_mask].max(initial=-1) != k - 1 or k > n:
+        raise DataError(f"labels.csv cannot record {k} classes of {n} subjects: "
+                        f"that needs a labeled subject in class {k - 1} and at least {k} subjects")
     os.makedirs(out_dir, exist_ok=True)
     features_path = os.path.join(out_dir, "features.csv")
     meta_path = os.path.join(out_dir, "meta.csv")

@@ -3,8 +3,9 @@
 Each error class carries a short machine-readable ``code`` so batch
 callers (and the CLI) can report failures on a single line without
 parsing prose.  :func:`read_text` reads every input file, so a file that
-cannot be read or decoded fails as one of these errors too, and
-:func:`require_memory` fails before an allocation that memory cannot hold.
+cannot be read or decoded fails as one of these errors too;
+:func:`read_lines` gives a file's non-blank lines numbered by file line,
+and :func:`require_memory` fails before an allocation that memory cannot hold.
 """
 
 import os
@@ -69,6 +70,12 @@ def read_text(path, encoding, error):
         line = len((raw[:exc.start] + b".").splitlines())  # bytes split only where open splits lines
         raise error(f"{path}:{line}: byte {raw[exc.start]:#04x} is not {encoding}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_lines(path, encoding, error):
+    """``(file line, text)`` for each non-blank line of :func:`read_text`'s text; file lines count from 1."""
+    lines = read_text(path, encoding, error).split("\n")
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _physical_memory_bytes():

@@ -403,10 +403,14 @@ def save_edge_list(graph, path):
 
     Every edge, the stored pattern of W, is listed once (i < j), including
     edges whose clamped weight is zero; weights carry 17 significant
-    digits so a reload is bit-exact.
+    digits so a reload is bit-exact.  A self-loop or a weight whose sign
+    bit is set cannot be read back, so it raises :class:`DataError`
+    before the file is opened.
     """
     w = graph.weights
     rows = np.repeat(np.arange(w.dim), np.diff(w.indptr))
+    if np.any(w.indices == rows) or np.any(np.signbit(w.data)):
+        raise DataError(f"{path}: an edge list holds no self-loop and no weight below +0.0")
     upper = np.flatnonzero(w.indices > rows)  # row-major, as CSR stores it
     rows, cols, weights = rows[upper], w.indices[upper], w.data[upper]
     triples = itertools.chain.from_iterable(zip(rows.tolist(), cols.tolist(), weights.tolist()))

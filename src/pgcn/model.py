@@ -101,7 +101,7 @@ class ModelParams:
 class BranchCache:
     """Intermediates of one branch, retained for the backward pass."""
 
-    dropped0: np.ndarray         # X with the layer-1 dropout mask applied; X itself without one
+    dropped0: np.ndarray         # the layer-1 input as given: X, or X with forward's dropout mask applied
     preact: np.ndarray           # A_hat @ (dropped0 @ theta0)
     dropped1: np.ndarray         # relu(preact) with the layer-2 dropout mask applied
     logits: np.ndarray           # A_hat @ (dropped1 @ theta1)
@@ -139,27 +139,25 @@ def _dropout_mask(rng, shape, p):
     return keep / (1.0 - p)
 
 
-def branch_forward(x, a_hat, theta0, theta1, dropout=None):
+def branch_forward(x, a_hat, theta0, theta1, mask1=None):
     """One branch: two graph convolutions over a single normalized operator.
 
-    ``dropout`` is either None (evaluation) or a pair of pre-scaled masks
-    applied to the inputs of layer 1 and layer 2 respectively; either
-    mask may be None.  Each layer multiplies by its weights before it
-    propagates, so the operator runs over h columns in layer 1 and K in
-    layer 2.
+    ``x`` enters layer 1 as given, so a layer-1 dropout mask is applied
+    by the caller; ``mask1`` is None (evaluation) or the pre-scaled
+    dropout mask of layer 2's input.  Each layer multiplies by its
+    weights before it propagates, so the operator runs over h columns in
+    layer 1 and K in layer 2.
     """
     x = as_dense(x, "features")
     if x.shape[1] != theta0.shape[0]:
         raise ShapeError(f"features {x.shape} do not match layer-1 weights {theta0.shape}")
     if theta0.shape[1] != theta1.shape[0]:
         raise ShapeError(f"layer weights {theta0.shape} and {theta1.shape} do not chain")
-    mask0, mask1 = (None, None) if dropout is None else dropout
-    dropped0 = x if mask0 is None else x * mask0
-    preact = spmm(a_hat, dropped0 @ theta0)
+    preact = spmm(a_hat, x @ theta0)
     hidden = relu(preact)
     dropped1 = hidden if mask1 is None else hidden * mask1
     logits = spmm(a_hat, dropped1 @ theta1)
-    return BranchCache(dropped0, preact, dropped1, logits, mask1), logits
+    return BranchCache(x, preact, dropped1, logits, mask1), logits
 
 
 def rank_combine(branch_logits, omega):
@@ -197,11 +195,11 @@ def forward(x, graphs, params, dropout_seed=None, dropout_p=0.3):
     rng = None if dropout_seed is None or dropout_p == 0.0 else np.random.default_rng(dropout_seed)
     branches = []
     for a_hat, theta0, theta1 in zip(graphs, params.theta0, params.theta1):
-        dropped0, dropout = x, None
+        dropped0, mask1 = x, None
         if rng is not None:
             dropped0 = x * _dropout_mask(rng, x.shape, dropout_p)
-            dropout = (None, _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p))
-        branches.append(branch_forward(dropped0, a_hat, theta0, theta1, dropout)[0])
+            mask1 = _dropout_mask(rng, (x.shape[0], params.hidden), dropout_p)
+        branches.append(branch_forward(dropped0, a_hat, theta0, theta1, mask1)[0])
     _, probs = rank_combine([br.logits for br in branches], params.omega)
     return ForwardCache(branches=branches, graphs=list(graphs), probs=probs, params=params)
 

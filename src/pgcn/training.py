@@ -8,14 +8,12 @@ afterwards they train like any other parameter.  Early stopping tracks
 validation loss and the best snapshot is returned.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DataError, ParameterError, read_text, require_memory
+from .errors import ConsistencyError, DataError, ParameterError, read_lines, require_memory
 from .graphs import AffinityGraph
 from .linalg import as_dense
 from .model import ModelParams, backward, branch_forward, forward, init_params, rank_combine
@@ -114,43 +112,34 @@ class TrainHistory:
         return np.asarray(self.records[-1].omega)
 
     def to_csv(self, path):
-        n_omega = len(self.records[0].omega) if self.records else 0
+        """One line per epoch; a history :meth:`from_csv` could not read raises :class:`DataError` before writing."""
+        n_omega = {len(r.omega) for r in self.records}
+        if len(n_omega) != 1 or 0 in n_omega:
+            raise DataError(f"{path}: a history needs epochs with one nonzero count of omegas, got {sorted(n_omega)}")
         header = ["epoch", "train_loss", "val_loss", "val_acc"]
-        header += [f"omega_{i + 1}" for i in range(n_omega)]
+        header += [f"omega_{i + 1}" for i in range(n_omega.pop())]
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for r in self.records:
-                cells = [str(r.epoch), repr(r.train_loss), repr(r.val_loss), repr(r.val_acc)]
-                cells += [repr(w) for w in r.omega]
-                fh.write(",".join(cells) + "\n")
+            for r in self.records:  # through float: the repr of a numpy scalar, np.float64(0.5), is no number
+                cells = [repr(float(v)) for v in (r.train_loss, r.val_loss, r.val_acc, *r.omega)]
+                fh.write(",".join([str(r.epoch), *cells]) + "\n")
 
     @classmethod
     def from_csv(cls, path):
-        reader = csv.reader(io.StringIO(read_text(path, "ascii", DataError)))
-        try:
-            rows = list(reader)
-        except csv.Error as exc:  # a cell beyond the csv module's field size limit
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-        header = rows[0] if rows else None
-        if header is None or header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
+        """Read a file :meth:`to_csv` wrote; blank lines are skipped, and cells are split at commas, unquoted."""
+        rows = [(lineno, line.split(",")) for lineno, line in read_lines(path, "ascii", DataError)]
+        header = rows[0][1] if rows else []
+        if header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
             raise DataError(f"{path}: not a training-history file")
         n_omega = len(header) - 4
         if n_omega < 1 or header[4:] != [f"omega_{i + 1}" for i in range(n_omega)]:
             raise DataError(f"{path}: malformed omega columns")
         records = []
-        for lineno, row in enumerate(rows[1:], start=2):
+        for lineno, row in rows[1:]:
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
             try:
-                records.append(
-                    EpochRecord(
-                        epoch=int(row[0]),
-                        train_loss=float(row[1]),
-                        val_loss=float(row[2]),
-                        val_acc=float(row[3]),
-                        omega=tuple(float(c) for c in row[4:]),
-                    )
-                )
+                records.append(EpochRecord(int(row[0]), *map(float, row[1:4]), tuple(map(float, row[4:]))))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: unparseable value") from exc
         if not records:

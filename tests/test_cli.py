@@ -14,8 +14,9 @@ import pgcn
 import pgcn.cli
 import pgcn.crossval
 import pgcn.experiments
-from pgcn.cli import main
+from pgcn.cli import GRADCHECK_L2, gradcheck_instance, main
 from pgcn.model import load_checkpoint
+from pgcn.training import grad_check
 
 
 @pytest.fixture()
@@ -359,6 +360,13 @@ class TestGradcheck:
         assert code == 0
         assert out.count("max_rel_error") == 4  # 3 seeds + overall line
 
+    def test_checks_at_the_calibration_of_its_threshold(self, capsys):
+        # grad_check's default step and the L2 weight gradcheck_instance redraws at
+        assert main(["gradcheck", "--count", "2", "--seed", "4"]) == 0
+        errors = [grad_check(*gradcheck_instance(seed), l2_lambda=GRADCHECK_L2) for seed in (4, 5)]
+        expected = [f"seed {seed} max_rel_error {err:.3e}" for seed, err in zip((4, 5), errors)]
+        assert capsys.readouterr().out.splitlines()[:2] == expected
+
 
 class TestRankReport:
     def test_summarizes_history(self, synth_dir, tmp_path, capsys):
@@ -502,7 +510,7 @@ def test_non_utf8_byte_in_config_is_config_error(synth_dir, tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("fault, message", [(b"\xe9", ":3: byte 0xe9 is not ascii"),
-                                            (b"1" * 200000, ":3: field larger than field limit")],
+                                            (b"1" * 200000, ":3: unparseable value")],
                          ids=["non-ascii-byte", "oversized-cell"])
 def test_unreadable_history_is_data_error(synth_dir, tmp_path, capsys, fault, message):
     cfg = tmp_path / "cfg.json"
@@ -604,6 +612,8 @@ def pgcn_subprocess(args, cwd, **env):
     ["gradcheck", "--count", "1", "--config", "cfg.json"],
     ["rank-report", "history.csv", "--config", "cfg.json"],
     ["rank-report", "history.csv", "--seed", "1"],
+    ["gradcheck", "--count", "1", "--eps", "1e-3"],
+    ["gradcheck", "--count", "1", "--l2", "0"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here

@@ -105,21 +105,33 @@ class TestRoundTrip:
             assert a.kind == b.kind
             np.testing.assert_array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("where", ["id", "code"])
+    @pytest.mark.parametrize("where", ["id", "code", "name"])
     @pytest.mark.parametrize("char", [",", "\n", "\r"])
     def test_value_that_would_split_a_cell_or_line_is_refused_before_writing(self, tmp_path, where, char):
         dataset, _, nuisance = synth_generate(20, 3, seed=5)
         bad = f"a{char}b"
         ids = list(dataset.subject_ids)
         codes = nuisance.values.tolist()
+        name = "nuisance"
         if where == "id":
             ids[3] = bad
-        else:
+        elif where == "code":
             codes[3] = bad
-        meta = [dataset.meta[0], MetaColumn("nuisance", "categorical", codes)]
+        else:
+            name = bad
+        meta = [dataset.meta[0], MetaColumn(name, "categorical", codes)]
         broken = Dataset(ids, dataset.X, meta, dataset.Y, dataset.labeled_mask)
         with pytest.raises(DataError, match=f"cannot contain a comma or a line break: {re.escape(repr(bad))}$"):
             write_dataset(broken, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["a:b", ""])
+    def test_column_name_meta_csv_cannot_declare_is_refused_before_writing(self, tmp_path, name):
+        dataset, _, _ = synth_generate(20, 3, seed=5)
+        renamed = MetaColumn(name, "categorical", dataset.meta[1].values)
+        broken = Dataset(dataset.subject_ids, dataset.X, [dataset.meta[0], renamed], dataset.Y, dataset.labeled_mask)
+        with pytest.raises(DataError, match=f"cannot be empty or contain a colon: {re.escape(repr(name))}$"):
+            write_dataset(broken, tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
     def test_continuous_column_round_trip(self, tmp_path):
@@ -267,10 +279,12 @@ class TestLoadDataset:
             ("labels", "subject_id,label\n\na,0\nb,2\n", "4: class index must be < 2, the subject count, got 2"),
             ("labels", "subject_id,label\n\na,0\na,1\n", "4: duplicate label for 'a'"),
             ("labels", "subject_id,label\n\na,0\nb\n", "4: expected 'subject_id,label'"),
+            ("labels", "\nsubject_id,label,extra\na,0\nb,1\n", "2: expected 'subject_id,label'"),
         ],
         ids=["features-number", "features-width", "features-crlf", "meta-number", "meta-cells", "meta-duplicate",
              "meta-number-before-cells", "meta-empty-number", "meta-duplicate-column",
-             "labels-class", "labels-negative", "labels-beyond-subjects", "labels-duplicate", "labels-cells"],
+             "labels-class", "labels-negative", "labels-beyond-subjects", "labels-duplicate", "labels-cells",
+             "labels-header-cells"],
     )
     def test_fault_after_blank_line_names_file_line(self, tmp_path, target, text, message):
         files = {

@@ -268,6 +268,26 @@ class TestSparseSymMatrix:
         s = SparseSymMatrix.from_dense(dense)
         np.testing.assert_array_equal(s.row_sums(), dense.sum(axis=1))
 
+    def test_row_sums_are_the_bits_of_a_left_to_right_sum(self):
+        # values whose sum depends on the order of the additions; rows 0 and 5 store nothing
+        rng = np.random.default_rng(8)
+        n = 40
+        pattern = np.triu(rng.random((n, n)) < 0.4)
+        pattern[[0, 5], :] = pattern[:, [0, 5]] = False
+        values = rng.choice([1e16, -1e16, 1.0, 1 / 3, -0.0, 5e-324], size=(n, n)) * rng.random((n, n))
+        rows, cols = np.nonzero(pattern | pattern.T)
+        upper = np.triu(values)
+        data = (upper + upper.T)[rows, cols]
+        s = SparseSymMatrix(n, np.searchsorted(rows, np.arange(n + 1)), cols, data)
+        expected = []
+        for i in range(n):
+            total = 0.0
+            for v in s.data[s.indptr[i]:s.indptr[i + 1]].tolist():
+                total += v
+            expected.append(total)
+        assert s.row_sums()[[0, 5]].tolist() == [0.0, 0.0]
+        assert s.row_sums().tobytes() == np.array(expected).tobytes()
+
     def test_constructor_copies_its_input(self):
         data = np.array([1.0, 1.0])
         s = SparseSymMatrix(2, [0, 1, 2], [1, 0], data)

@@ -180,7 +180,9 @@ class TestBranchForward:
         theta0 = rng.normal(size=(d, h))
         theta1 = rng.normal(size=(h, 2))
         masks = ((rng.random((7, d)) >= 0.3) / 0.7, (rng.random((7, h)) >= 0.3) / 0.7) if masked else None
-        _, logits = branch_forward(x, a_hat, theta0, theta1, masks)
+        # the caller applies the layer-1 mask; branch_forward applies the layer-2 one
+        features, mask1 = (x * masks[0], masks[1]) if masked else (x, None)
+        _, logits = branch_forward(features, a_hat, theta0, theta1, mask1)
         expected = oracle_branch(a_hat.to_dense(), x, theta0, theta1, *(masks or ()))
         assert np.max(np.abs(logits - expected)) <= 1e-12
 

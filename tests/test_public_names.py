@@ -125,3 +125,32 @@ def test_readme_config_examples_load(tmp_path):
     assert [arm.name for arm in load_experiment_config(tmp_path / "experiment.json").arms] == [
         "trainable", "fixed", "control"]
     assert load_train_config(tmp_path / "train.json", ("informative", "nuisance")).arms[0].fixed_omega == (0.8, 0.2)
+
+
+def private_definitions_and_loads(paths):
+    """Where each ``_name`` function or class of ``paths`` is defined (dunders excluded), and every name they load."""
+    defined, loaded = {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[f"{path.name}:{node.lineno}"] = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return defined, loaded
+
+
+def test_every_private_helper_has_a_caller():
+    defined, loaded = private_definitions_and_loads(sorted((ROOT / "src" / "pgcn").glob("*.py")))
+    assert len(defined) > 20
+    assert {where: name for where, name in defined.items() if name not in loaded} == {}
+
+
+def test_private_helper_without_a_load_is_found(tmp_path):
+    (tmp_path / "m.py").write_text("def _used():\n    pass\n\nclass _Gone:\n    def _method(self):\n"
+                                   "        return _used()\n\nx = _used\n_Gone = None\n")
+    defined, loaded = private_definitions_and_loads([tmp_path / "m.py"])
+    assert defined == {"m.py:1": "_used", "m.py:4": "_Gone", "m.py:5": "_method"}
+    assert sorted(name for name in defined.values() if name not in loaded) == ["_Gone", "_method"]

@@ -12,6 +12,7 @@ from pgcn.graphs import build_graph
 from pgcn.model import ModelParams, forward, init_params
 from pgcn.training import (
     AdamState,
+    EpochRecord,
     TrainConfig,
     TrainHistory,
     adam_step,
@@ -429,3 +430,27 @@ class TestHistoryCsv:
         with pytest.raises(DataError) as exc:
             TrainHistory.from_csv(bad)
         assert str(exc.value) == f"{bad}{message}"
+
+    def test_blank_lines_are_skipped_and_faults_name_the_file_line(self, tmp_path):
+        path = tmp_path / "history.csv"
+        header = "epoch,train_loss,val_loss,val_acc,omega_1"
+        path.write_text(f"\n{header}\n\n1,0.5,0.25,1.0,-0.0\n \n2,nan,inf,0.5,5e-324\n\n")
+        loaded = TrainHistory.from_csv(path)
+        assert [r.epoch for r in loaded.records] == [1, 2]
+        assert loaded.records[1].omega == (5e-324,)
+        path.write_text(f"{header}\n\n1,0.5,0.25,1.0,1\n\n2,0.5\n")
+        with pytest.raises(DataError, match=r":5: expected 5 cells$"):
+            TrainHistory.from_csv(path)
+
+    def test_quoted_cell_is_an_unparseable_value(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_text('epoch,train_loss,val_loss,val_acc,omega_1\n"1",0.5,0.25,1.0,1\n')
+        with pytest.raises(DataError, match=r":2: unparseable value$"):
+            TrainHistory.from_csv(path)
+
+    @pytest.mark.parametrize("omegas", [[], [()], [(0.5,), (0.5, 0.5)]], ids=["no-epochs", "no-omega", "ragged"])
+    def test_history_from_csv_cannot_read_is_refused_before_writing(self, tmp_path, omegas):
+        records = [EpochRecord(k + 1, 0.5, 0.5, 1.0, omega) for k, omega in enumerate(omegas)]
+        with pytest.raises(DataError, match="a history needs epochs with one nonzero count of omegas"):
+            TrainHistory(records=records).to_csv(tmp_path / "history.csv")
+        assert list(tmp_path.iterdir()) == []
