@@ -30,9 +30,9 @@ __all__ = ["Dataset", "synth_generate", "load_dataset", "write_dataset"]
 class Dataset:
     """N subjects: features X, metadata columns, one-hot labels, label mask.
 
-    Every Y row is one-hot, including unlabeled subjects, whose rows are
-    class-0 placeholders; the mask is the only source of truth for which
-    rows may enter a loss or metric.
+    Every Y row must be one-hot, and the rows of unlabeled subjects are
+    stored as class-0 placeholders; the mask is the only source of truth
+    for which rows may enter a loss or metric.
     """
 
     subject_ids: list
@@ -57,9 +57,9 @@ class Dataset:
             raise DataError("labels and mask must cover every subject")
         if self.Y.ndim != 2 or self.Y.shape[1] < 2:
             raise DataError("need one-hot labels over at least 2 classes")
-        one_hot = np.isin(self.Y, (0.0, 1.0)).all() and np.all(self.Y.sum(axis=1) == 1.0)
-        if not one_hot:
+        if not (np.isin(self.Y, (0.0, 1.0)).all() and np.all(self.Y.sum(axis=1) == 1.0)):
             raise DataError("every label row must be one-hot")
+        self.Y = np.where(self.labeled_mask[:, None], self.Y, np.eye(self.Y.shape[1])[0])  # a copy, not the caller's Y
         names = set()
         for col in self.meta:
             if len(col) != n:

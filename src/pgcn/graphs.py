@@ -327,7 +327,12 @@ def _row_starts(n, rows):
 
 
 def normalize(w):
-    """Self-loop-augmented symmetric normalization D^{-1/2} (W + I) D^{-1/2} of a :class:`SparseSymMatrix`."""
+    """Self-loop-augmented symmetric normalization D^{-1/2} (W + I) D^{-1/2} of a :class:`SparseSymMatrix`.
+
+    Â is symmetric because W is, and keeps W's ``SYMMETRY_TOL`` bound when
+    every degree is at least 1, which holds for every W >= 0; a caller-built
+    W with negative weights can push a degree below 1, and that scales the bound.
+    """
     if not isinstance(w, SparseSymMatrix):
         raise ShapeError("normalize expects a SparseSymMatrix")
     degrees = w.row_sums() + 1.0  # +1 from the identity self-loop
@@ -337,12 +342,10 @@ def normalize(w):
                         "normalization needs positive degrees")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     a = w.scipy() + scipy.sparse.identity(w.dim, format="csr")
-    indptr, indices, data = a.indptr, a.indices, a.data
-    del a  # the sum is ours: scale its values in place, one full-length temporary at a time
-    # (W + I)_ij * s_i * s_j, multiplied in that order
-    data *= np.repeat(inv_sqrt, np.diff(indptr))
-    data *= inv_sqrt[indices]
-    return SparseSymMatrix(w.dim, indptr, indices, data)
+    # (W + I)_ij * s_i * s_j, multiplied in that order, in place in the sum: one full-length temporary at a time
+    a.data *= np.repeat(inv_sqrt, np.diff(a.indptr))
+    a.data *= inv_sqrt[a.indices]
+    return SparseSymMatrix._built(a)
 
 
 def random_graph(n, density, seed):
@@ -355,8 +358,7 @@ def random_graph(n, density, seed):
     require_memory(nbytes, ParameterError, f"n={n} needs {nbytes} bytes of N x N arrays to build a graph")
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
-    weights = SparseSymMatrix.from_dense((upper | upper.T).astype(np.float64))
-    return AffinityGraph(weights, "random")
+    return AffinityGraph(SparseSymMatrix._built(scipy.sparse.csr_matrix(upper | upper.T, dtype=np.float64)), "random")
 
 
 def build_graph(col, features, beta=None, metric=DEFAULT_METRIC):
@@ -390,7 +392,8 @@ def build_graph(col, features, beta=None, metric=DEFAULT_METRIC):
     sim = _finish_similarity(dots, diagonal, scale, rows, cols)
     del rows
     weights = _edge_weights(sim, _transposed(n, indptr, cols, sim))
-    return AffinityGraph(SparseSymMatrix(n, indptr, cols, weights), col.name)
+    w = scipy.sparse.csr_matrix((weights, cols, indptr), shape=(n, n))
+    return AffinityGraph(SparseSymMatrix._built(w), col.name)
 
 
 def _transposed(n, indptr, cols, values):
@@ -446,10 +449,9 @@ def load_edge_list(path):
     require_memory(nbytes, DataError, f"{path}: n={n} needs {nbytes} bytes of vertex arrays")
     i, j, weight = _parse_edges(path, start + 2, lines[start + 1:], n)
     weight += 0.0  # a "-0" weight is stored as +0.0, so the writer prints "0" as for every other zero
-    rows, cols, values = np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((weight, weight))
-    order = np.argsort(rows * n + cols)
-    rows, cols, values = rows[order], cols[order], values[order]
-    weights = SparseSymMatrix(n, _row_starts(n, rows), cols, values)
+    # each edge at (i, j) and (j, i); scipy's COO-to-CSR conversion sorts each row and keeps zero weights
+    mirrored = (np.concatenate((weight, weight)), (np.concatenate((i, j)), np.concatenate((j, i))))
+    weights = SparseSymMatrix._built(scipy.sparse.csr_matrix(mirrored, shape=(n, n)))
     return AffinityGraph(weights, os.path.splitext(os.path.basename(path))[0])
 
 

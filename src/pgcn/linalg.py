@@ -3,8 +3,9 @@
 Dense matrices are plain 2-D ``numpy.ndarray`` objects in float64;
 :class:`SparseSymMatrix` stores symmetric operators (graph adjacencies and
 their normalized forms) in compressed sparse row layout.  Everything here
-is a pure function of its inputs: arrays handed to constructors are copied
-and frozen, and the product plan an operator keeps is derived from them.
+is a pure function of its inputs: the public constructor copies and checks
+the arrays it is given, pgcn's graph builders hand over arrays they own, and
+every operator's arrays are frozen and its product plan derived from them.
 """
 
 import numpy as np
@@ -88,24 +89,33 @@ def spmm(s, b):
 class SparseSymMatrix:
     """Symmetric sparse matrix: a validated, frozen ``scipy.sparse.csr_matrix``.
 
-    Structure is validated on construction: column indices strictly
-    increasing within each row, the nonzero pattern symmetric, paired
-    values equal within ``SYMMETRY_TOL``, and every value finite.  The
-    underlying arrays are frozen after validation.
+    The constructor copies and validates the arrays it is given: column
+    indices strictly increasing within each row, the nonzero pattern
+    symmetric, paired values equal within ``SYMMETRY_TOL``, every value
+    finite.  :meth:`_built` keeps the arrays of a matrix pgcn built
+    symmetric, checked for all but symmetry.  Either way they are frozen.
     """
 
     __slots__ = ("dim", "_csr", "_plan")
 
     def __init__(self, dim, indptr, indices, data):
-        self.dim = int(dim)
-        indptr, indices = np.asarray(indptr), np.asarray(indices)
-        data = np.asarray(data, dtype=np.float64)
-        _validate_structure(self.dim, indptr, indices, data)
-        self._csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim), copy=True)
+        dim = int(dim)
+        indptr, indices, data = np.asarray(indptr), np.asarray(indices), np.asarray(data, dtype=np.float64)
+        _validate_structure(dim, indptr, indices, data)
+        self._adopt(scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim), copy=True))
         _validate_symmetry(self._csr)
-        for arr in (self.indptr, self.indices, self.data):
+
+    @classmethod
+    def _built(cls, csr):
+        """Adopt a float64 CSR matrix whose builder guarantees symmetry; the caller gives up its arrays."""
+        _validate_structure(csr.shape[0], csr.indptr, csr.indices, csr.data)
+        return cls.__new__(cls)._adopt(csr)
+
+    def _adopt(self, csr):
+        self.dim, self._csr, self._plan = csr.shape[0], csr, None
+        for arr in (csr.indptr, csr.indices, csr.data):
             arr.setflags(write=False)
-        self._plan = None
+        return self
 
     @classmethod
     def from_dense(cls, a):
@@ -248,11 +258,11 @@ def _validate_structure(n, indptr, indices, data):
 
 
 def _validate_symmetry(csr):
-    """Identical pattern under transpose and values matching within ``SYMMETRY_TOL``."""
+    """Identical pattern under transpose, paired values within ``SYMMETRY_TOL``, and a zero only opposite a zero."""
     t = csr.T.tocsr()
     t.sort_indices()
     if not (np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)):
         raise DataError("sparse matrix pattern is not symmetric")
-    diff = t.data - csr.data
-    if diff.size and np.max(np.abs(diff, out=diff)) > SYMMETRY_TOL:  # in place: one full-length temporary
+    diff = t.data - csr.data  # abs in place: one full-length temporary; normalize's W + I drops zeros, so they pair
+    if diff.size and (np.max(np.abs(diff, out=diff)) > SYMMETRY_TOL or np.any((t.data == 0) != (csr.data == 0))):
         raise DataError("sparse matrix values are not symmetric")

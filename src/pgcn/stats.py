@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DataError, DegenerateInputError, ParameterError
 
@@ -83,6 +82,7 @@ def paired_t_test(a, b):
     n = len(d)
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
+    from scipy.special import betainc  # here, not at the top: only cv needs it, and every CLI call would load it
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p
 

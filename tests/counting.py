@@ -1,4 +1,4 @@
-"""Operator-product and normalization counting, and run-thread forcing, shared by the test modules."""
+"""Operator-product, normalization and symmetry-check counting, and run-thread forcing, shared by the test modules."""
 
 import sys
 import threading
@@ -46,6 +46,19 @@ def count_normalize(monkeypatch):
 
     monkeypatch.setattr(pgcn.graphs, "normalize", counted)
     return calls
+
+
+def count_symmetry_checks(monkeypatch):
+    """Patch ``pgcn.linalg._validate_symmetry`` and return the list that receives the shape of every checked matrix."""
+    original = pgcn.linalg._validate_symmetry
+    shapes = []
+
+    def counted(csr):
+        shapes.append(csr.shape)
+        return original(csr)
+
+    monkeypatch.setattr(pgcn.linalg, "_validate_symmetry", counted)
+    return shapes
 
 
 def planned_graphs(graphs, plan, monkeypatch):

@@ -406,6 +406,11 @@ def test_cli_import_does_not_load_scipy_stats():
     assert not loaded_in_fresh_process("scipy.stats")
 
 
+def test_cli_import_does_not_load_scipy_special():
+    # only cv's arm comparisons need betainc, so paired_t_test imports it on its first call
+    assert not loaded_in_fresh_process("scipy.special")
+
+
 def test_cli_import_and_operator_products_do_not_load_csgraph():
     # scipy.sparse.csgraph would add about 50 ms and 8 MB to every call; spmm labels components in numpy
     assert not loaded_in_fresh_process("scipy.sparse.csgraph")

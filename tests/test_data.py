@@ -68,6 +68,17 @@ class TestDatasetContainer:
                 labeled_mask=[True, True],
             )
 
+    def test_unlabeled_rows_become_class_zero_in_a_copy(self):
+        y = np.eye(3)[[2, 1, 2]]
+        given = y.copy()
+        dataset = Dataset(["a", "b", "c"], np.eye(3), [], y, [True, False, False])
+        assert dataset.labels().tolist() == [2, 0, 0]
+        assert y.tobytes() == given.tobytes()  # the caller's array keeps its rows
+
+    def test_not_one_hot_unlabeled_row_is_refused(self):
+        with pytest.raises(DataError, match="every label row must be one-hot"):
+            Dataset(["a", "b"], np.eye(2), [], np.array([[1.0, 0.0], [0.0, 0.0]]), [True, False])
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
             Dataset(

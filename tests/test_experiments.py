@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from counting import count_symmetry_checks
 
 from pgcn.crossval import Arm
 from pgcn.data import Dataset, synth_generate
@@ -19,6 +20,7 @@ from pgcn.experiments import (
     run_experiment,
 )
 from pgcn.graphs import DEFAULT_METRIC, MetaColumn, build_graph, random_graph, save_edge_list, similarity_matrix
+from pgcn.linalg import SparseSymMatrix
 from pgcn.training import TrainConfig
 
 
@@ -186,6 +188,17 @@ class TestRunExperiment:
         for arm in ("trainable", "fixed"):
             for rep in range(2):
                 assert (tmp_path / f"history_{arm}_rep{rep}.csv").exists()
+
+    def test_built_graphs_are_not_checked_for_symmetry(self, dataset, tmp_path, monkeypatch):
+        # every operator of a metadata graph, an edge-list file and a random graph is symmetric as built
+        path = tmp_path / "nuisance.txt"
+        save_edge_list(build_graph(dataset.column("nuisance"), dataset.X), path)
+        checks = count_symmetry_checks(monkeypatch)
+        arm = Arm("all", ("informative", str(path), "random"))
+        run_experiment(dataset, ExperimentConfig(arms=(arm,), train=small_train(max_epochs=3), repeats=2))
+        assert checks == []
+        SparseSymMatrix.from_dense(np.eye(2))  # the check a caller's arrays still go through
+        assert checks == [(2, 2)]
 
     def test_byte_identical_reports(self, dataset, tmp_path):
         arms = (Arm("solo", ("informative",)),)

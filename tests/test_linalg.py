@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from counting import plan_kind
 from scipy.sparse.csgraph import connected_components  # a test-only oracle: the package never imports it
 
@@ -238,6 +239,22 @@ class TestSparseSymMatrix:
                 indices=[1, 0],
                 data=[1.0, 1.0 + 1e-9],
             )
+
+    @pytest.mark.parametrize("route", ["constructor", "from_dense"])
+    @pytest.mark.parametrize("fault", ["pattern", "values"])
+    def test_asymmetric_input_is_data_error(self, route, fault):
+        dense = np.array([[0.0, 1.0], [0.0 if fault == "pattern" else 1.0 + 1e-9, 0.0]])
+        csr = scipy.sparse.csr_matrix(dense)
+        with pytest.raises(DataError, match=f"matrix {fault} (is|are) not symmetric"):
+            if route == "from_dense":
+                SparseSymMatrix.from_dense(dense)
+            else:
+                SparseSymMatrix(2, csr.indptr, csr.indices, csr.data)
+
+    def test_rejects_a_stored_zero_opposite_a_nonzero(self):
+        # within SYMMETRY_TOL, but the sum W + I in normalize drops the zero and keeps its pair
+        with pytest.raises(DataError, match="values are not symmetric"):
+            SparseSymMatrix(2, [0, 1, 2], [1, 0], [0.0, 1e-13])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
