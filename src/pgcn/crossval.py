@@ -14,11 +14,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, ParameterError
+from .errors import ConfigError, DegenerateInputError, ParameterError, require_memory
 from .stats import accuracy, auc, paired_t_test
 from .training import as_operators, split_masks, train
 
 __all__ = ["Arm", "ArmResult", "Comparison", "CvReport", "cross_validate", "derive_seed"]
+
+# Bytes a study keeps from its first split draw to its report: per repeat, its two masks (a byte per subject) and
+# _REPEAT_BYTES for the split and its run configs; per run, its best_probs (a float64 per subject and class) and one
+# history record per epoch of at most _RECORD_BYTES plus _RECORD_OMEGA_BYTES per ranking weight.  Tracemalloc read
+# 440 to 560 bytes a repeat beside its masks, and 291, 353 and 510 bytes a record at 1, 3 and 8 ranking weights.
+_REPEAT_BYTES = 1024
+_RECORD_BYTES = 288
+_RECORD_OMEGA_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,9 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     identical experiments and raises :class:`DegenerateInputError`.
     With two classes, a split whose validation set lacks a class leaves
     AUC undefined and raises :class:`ParameterError` before any run trains.
+    So does a study whose splits and histories, sized from ``repeats``,
+    the arms and ``config.max_epochs``, exceed physical memory, before
+    the first split is drawn.
 
     The arm x repeat runs are handed out in (arm, repeat) order to
     ``max(1, usable cores // BLAS threads)`` threads, never more than
@@ -179,6 +190,12 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     names = [arm.name for arm in arms]
     if len(set(names)) != len(names):
         raise ConfigError("arm names must be unique")
+    n, k = dataset.n_subjects, dataset.n_classes
+    run_bytes = sum(8 * n * k + config.max_epochs * (_RECORD_BYTES + _RECORD_OMEGA_BYTES * len(arm.graphs))
+                    for arm in arms)
+    nbytes = repeats * (2 * n + _REPEAT_BYTES + run_bytes)
+    require_memory(nbytes, ParameterError,
+                   f"{repeats} repeats of {len(arms)} arms over n={n} need {nbytes} bytes of splits and histories")
 
     for arm in arms:  # operators and plans are derived on first use: make them here, before threads share them
         for op in as_operators(arm.graphs):

@@ -5,7 +5,8 @@ callers (and the CLI) can report failures on a single line without
 parsing prose.  :func:`read_text` reads every input file, so a file that
 cannot be read or decoded fails as one of these errors too;
 :func:`read_lines` gives a file's non-blank lines numbered by file line,
-and :func:`require_memory` fails before an allocation that memory cannot hold.
+:func:`read_rows` splits each of them into its CSV cells, and
+:func:`require_memory` fails before an allocation that memory cannot hold.
 """
 
 import os
@@ -76,6 +77,11 @@ def read_lines(path, encoding, error):
     """``(file line, text)`` for each non-blank line of :func:`read_text`'s text; file lines count from 1."""
     lines = read_text(path, encoding, error).split("\n")
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
+def read_rows(path, encoding, error):
+    """``(file line, cells)`` for each line of :func:`read_lines`, split at every comma; no cell is quoted."""
+    return [(lineno, line.split(",")) for lineno, line in read_lines(path, encoding, error)]
 
 
 def _physical_memory_bytes():

@@ -55,8 +55,11 @@ SIMILARITY_METRICS = (DEFAULT_METRIC, "cosine")
 # operator is first used, each hold at most twelve N-entry arrays of 8-byte values at once.
 EDGE_LIST_VERTEX_BYTES = 12 * 8
 
-# Bytes per vertex pair that random_graph holds at least, one N x N float64 and one N x N bool.
+# Bytes per vertex pair that random_graph holds at its peak, at least the draw's one N x N float64 and one N x N
+# bool; once the edges are stored, two N x N bools and RANDOM_ENTRY_BYTES per stored entry, density x N x N of them.
+# Tracemalloc peaks read 9.0 bytes a pair up to density 0.1 and 35.0 at density 1.
 GRAPH_BUILD_PAIR_BYTES = 8 + 1
+RANDOM_ENTRY_BYTES = 33
 
 # One parsed edge-list line.
 _EDGE_FIELDS = [("i", np.int64), ("j", np.int64), ("weight", np.float64)]
@@ -241,11 +244,13 @@ def _similarity_rows(x, metric):
 
     ``pearson`` centres each feature row and ``scale`` is ``1 / (d - 1)``;
     ``cosine`` scales each row to unit length and ``scale`` is None.  A
-    subject whose similarity is undefined is refused.
+    row :func:`require_weighable_rows` refuses, and a subject whose
+    similarity is undefined, raise :class:`DataError` naming the subject.
     """
     if metric not in SIMILARITY_METRICS:
         raise ParameterError(f"unknown similarity metric {metric!r}")
     x = as_dense(x, "feature matrix")
+    require_weighable_rows(x, lambda row: f"subject {row}")
     if metric == "pearson":
         stds = x.std(axis=1)
         degenerate = np.flatnonzero(~(stds > 0))
@@ -257,6 +262,23 @@ def _similarity_rows(x, metric):
     if degenerate.size:
         raise DataError(f"subject {int(degenerate[0])} has a zero feature vector")
     return x / norms[:, None], None
+
+
+def require_weighable_rows(x, where):
+    """Raise :class:`DataError`, at ``where(row)``, for the first feature row similarity cannot weight.
+
+    Similarity sums the squares of each row, so that sum must be finite in
+    float64: a row holding a nan, an infinity or values whose squares
+    overflow is refused.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.sum(x * x, axis=1)
+    rows = np.flatnonzero(~np.isfinite(squares))
+    if rows.size and np.isnan(squares[rows[0]]):
+        raise DataError(f"{where(rows[0])}: feature value is nan")
+    if rows.size:
+        raise DataError(f"{where(rows[0])}: feature values too large: the row's sum of squares "
+                        f"exceeds the float64 maximum {np.finfo(np.float64).max:.4g}")
 
 
 def _dot_blocks(rows):
@@ -349,13 +371,18 @@ def normalize(w):
 
 
 def random_graph(n, density, seed):
-    """Erdos-Renyi graph with unit edge weights; deterministic per seed."""
+    """Erdos-Renyi graph with unit edge weights; deterministic per seed.
+
+    The peak memory at ``density``, sized by ``GRAPH_BUILD_PAIR_BYTES`` and
+    ``RANDOM_ENTRY_BYTES``, is checked before the draw.
+    """
     if n < 2:
         raise ParameterError(f"random graph needs n >= 2, got {n}")
     if not 0.0 < density <= 1.0:
         raise ParameterError(f"density must lie in (0, 1], got {density}")
-    nbytes = n * n * GRAPH_BUILD_PAIR_BYTES
-    require_memory(nbytes, ParameterError, f"n={n} needs {nbytes} bytes of N x N arrays to build a graph")
+    nbytes = math.ceil(n * n * max(GRAPH_BUILD_PAIR_BYTES, 2 + RANDOM_ENTRY_BYTES * density))
+    require_memory(nbytes, ParameterError,
+                   f"n={n} needs {nbytes} bytes of N x N arrays to build a graph at density {density}")
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     return AffinityGraph(SparseSymMatrix._built(scipy.sparse.csr_matrix(upper | upper.T, dtype=np.float64)), "random")

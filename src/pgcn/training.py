@@ -9,11 +9,12 @@ validation loss and the best snapshot is returned.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DataError, ParameterError, read_lines, require_memory
+from .errors import ConsistencyError, DataError, ParameterError, read_rows, require_memory
 from .graphs import AffinityGraph
 from .linalg import as_dense
 from .model import ModelParams, backward, branch_forward, forward, init_params, rank_combine
@@ -112,22 +113,33 @@ class TrainHistory:
         return np.asarray(self.records[-1].omega)
 
     def to_csv(self, path):
-        """One line per epoch; a history :meth:`from_csv` could not read raises :class:`DataError` before writing."""
+        """One line per epoch; a history :meth:`from_csv` could not read back raises :class:`DataError` before writing.
+
+        Every epoch must be an int and every other cell a real number that
+        float holds; cells are written through float, as the reader reads them.
+        """
         n_omega = {len(r.omega) for r in self.records}
         if len(n_omega) != 1 or 0 in n_omega:
             raise DataError(f"{path}: a history needs epochs with one nonzero count of omegas, got {sorted(n_omega)}")
-        header = ["epoch", "train_loss", "val_loss", "val_acc"]
-        header += [f"omega_{i + 1}" for i in range(n_omega.pop())]
+        header = ["epoch", "train_loss", "val_loss", "val_acc"] + [f"omega_{i + 1}" for i in range(n_omega.pop())]
+        lines = [",".join(header)]
+        for r in self.records:
+            values = (r.train_loss, r.val_loss, r.val_acc, *r.omega)
+            whole = isinstance(r.epoch, numbers.Integral) and not isinstance(r.epoch, bool)
+            try:  # through float: the repr of a numpy scalar, np.float64(0.5), is no number
+                cells = [repr(float(v)) for v in values if isinstance(v, numbers.Real)]
+            except OverflowError:  # an int beyond float's range
+                cells = []
+            if not whole or len(cells) != len(values):
+                raise DataError(f"{path}: epoch {r.epoch!r}: a history holds int epochs and float cells")
+            lines.append(",".join([str(r.epoch), *cells]))
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in self.records:  # through float: the repr of a numpy scalar, np.float64(0.5), is no number
-                cells = [repr(float(v)) for v in (r.train_loss, r.val_loss, r.val_acc, *r.omega)]
-                fh.write(",".join([str(r.epoch), *cells]) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path):
         """Read a file :meth:`to_csv` wrote; blank lines are skipped, and cells are split at commas, unquoted."""
-        rows = [(lineno, line.split(",")) for lineno, line in read_lines(path, "ascii", DataError)]
+        rows = read_rows(path, "ascii", DataError)
         header = rows[0][1] if rows else []
         if header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
             raise DataError(f"{path}: not a training-history file")

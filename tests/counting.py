@@ -1,7 +1,9 @@
-"""Operator-product, normalization and symmetry-check counting, and run-thread forcing, shared by the test modules."""
+"""Operator-product, normalization and symmetry-check counting, traced memory peaks, and run-thread forcing,
+shared by the test modules."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import scipy.sparse
@@ -9,6 +11,16 @@ import scipy.sparse
 import pgcn.crossval
 import pgcn.graphs
 import pgcn.linalg
+
+
+def traced_peak(step):
+    """Peak bytes that tracemalloc sees while ``step()`` runs."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_spmm_calls(monkeypatch):

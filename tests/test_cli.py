@@ -13,6 +13,7 @@ from counting import count_normalize, force_run_threads
 import pgcn
 import pgcn.cli
 import pgcn.crossval
+import pgcn.errors
 import pgcn.experiments
 from pgcn.cli import GRADCHECK_L2, gradcheck_instance, main
 from pgcn.model import load_checkpoint
@@ -49,6 +50,14 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:parameter:")
         assert err.count("\n") == 1
+
+    def test_size_beyond_physical_memory_is_one_parameter_error(self, tmp_path, capsys, monkeypatch):
+        needed = 1000 * (256 + 32 * 10)  # per subject its id, labels and codes, and up to four n x d float64 arrays
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(np.random, "default_rng", None)  # drawing would raise TypeError
+        code = main(["synth", "--n", "1000", "--d", "10", "--out-dir", str(tmp_path / "out")])
+        one_error_line(capsys, code, f"error:parameter: n=1000, d=10 needs {needed} bytes to generate a dataset")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBuildGraph:

@@ -8,6 +8,7 @@ import pytest
 from counting import count_spmm_calls, force_run_threads, planned_graphs
 
 import pgcn.crossval
+import pgcn.errors
 from pgcn.crossval import Arm, cross_validate, derive_seed
 from pgcn.data import Dataset, synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
@@ -116,6 +117,19 @@ class TestCrossValidate:
         with pytest.raises(ParameterError, match=message):
             cross_validate(sparse, [Arm("a", (g_info,))], quick_config(), repeats=3, val_fraction=0.1)
         assert calls == []
+
+    def test_repeats_beyond_physical_memory_fail_before_any_split(self, setup, monkeypatch):
+        dataset, g_info, g_nui = setup
+        arms = [Arm("one", (g_info,)), Arm("two", (g_info, g_nui))]
+        n, repeats = dataset.n_subjects, 4
+        # per repeat: two masks, the fixed part, and per arm best_probs and 30 records of 1 or 2 ranking weights
+        needed = repeats * (2 * n + 1024 + 2 * 8 * n * 2 + 30 * (288 + 32) + 30 * (288 + 64))
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed)
+        assert cross_validate(dataset, arms, quick_config(), repeats=repeats).repeats == repeats
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(pgcn.crossval, "split_masks", None)  # drawing a split would raise TypeError
+        with pytest.raises(ParameterError, match=rf"^4 repeats of 2 arms over n={n} need {needed} bytes"):
+            cross_validate(dataset, arms, quick_config(), repeats=repeats)
 
     def test_duplicate_names_rejected(self, setup):
         dataset, g_info, g_nui = setup

@@ -2,8 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from counting import traced_peak
 
 import pgcn.data
+import pgcn.errors
 from pgcn.data import Dataset, load_dataset, synth_generate, write_dataset
 from pgcn.errors import ConfigError, DataError, ParameterError
 from pgcn.graphs import MetaColumn
@@ -56,6 +58,20 @@ class TestSynthGenerate:
         with pytest.raises(ParameterError):
             synth_generate(40, 4, seed=0, noise=-0.1)
 
+    def test_size_beyond_physical_memory_fails_before_any_draw(self, monkeypatch):
+        n, d = 40, 10
+        needed = n * (256 + 32 * d)  # per subject its id, labels and codes, and up to four n x d float64 arrays
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed)
+        assert synth_generate(n, d, seed=0)[0].X.shape == (n, d)
+        monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(np.random, "default_rng", None)  # drawing would raise TypeError
+        with pytest.raises(ParameterError, match=rf"^n={n}, d={d} needs {needed} bytes to generate a dataset"):
+            synth_generate(n, d, seed=0)
+
+    def test_peak_is_within_the_sized_bytes(self):
+        for n, d in ((2000, 1), (2000, 10), (1000, 200)):
+            assert traced_peak(lambda: synth_generate(n, d, seed=0)) < n * (256 + 32 * d)
+
 
 class TestDatasetContainer:
     def test_one_hot_enforced(self):
@@ -94,6 +110,15 @@ class TestDatasetContainer:
                 MetaColumn("a", "continuous", np.array([1.0, 2.0]))]
         with pytest.raises(DataError, match="two metadata columns are named 'a'"):
             Dataset(subject_ids=["s", "t"], X=np.zeros((2, 2)), meta=meta, Y=np.eye(2), labeled_mask=[True, True])
+
+    @pytest.mark.parametrize("value, message", [(np.nan, "feature value is nan"),
+                                                (np.inf, "feature values too large"),
+                                                (-1e200, "feature values too large")])
+    def test_row_similarity_cannot_weight_names_its_subject(self, value, message):
+        x = np.ones((3, 2))
+        x[1, 0] = value
+        with pytest.raises(DataError, match=f"^subject 'b': {message}"):
+            Dataset(["a", "b", "c"], x, [], np.eye(2)[[0, 1, 0]], [True, True, True])
 
     def test_column_lookup(self):
         dataset, informative, _ = synth_generate(20, 3, seed=0)
@@ -134,6 +159,13 @@ class TestRoundTrip:
         broken = Dataset(ids, dataset.X, meta, dataset.Y, dataset.labeled_mask)
         with pytest.raises(DataError, match=f"cannot contain a comma or a line break: {re.escape(repr(bad))}$"):
             write_dataset(broken, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subject_id_that_is_not_a_str_is_refused_before_writing(self, tmp_path):
+        # load_dataset reads every id back as a str, so an int id could not read back as written
+        dataset = Dataset([0, 1, 2, 3], np.eye(4), [], np.eye(2)[[0, 1, 0, 1]], [True] * 4)
+        with pytest.raises(DataError, match="a subject id must be a str to read back as written, got 0$"):
+            write_dataset(dataset, tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["a:b", ""])
@@ -231,6 +263,9 @@ class TestLoadDataset:
             paths = self.write(tmp_path, features, meta, labels)
             with pytest.raises(DataError, match=rf"x.csv:{line}: feature values too large"):
                 load_dataset(*paths)
+        paths = self.write(tmp_path, "f0,f1\n1.0,2.0\n\n3.0,nan\n", meta, labels)
+        with pytest.raises(DataError, match=r"x.csv:4: feature value is nan$"):
+            load_dataset(*paths)
 
     def test_join_mismatch_rejected(self, tmp_path):
         paths = self.write(

@@ -1,10 +1,9 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
-from counting import count_normalize
+from counting import count_normalize, traced_peak
 from oracles import power_iteration_radius
 
 import pgcn.errors
@@ -23,16 +22,6 @@ from pgcn.graphs import (
     similarity_matrix,
 )
 from pgcn.linalg import SYMMETRY_TOL, SparseSymMatrix, _validate_symmetry
-
-
-def traced_peak(step):
-    """Peak bytes that tracemalloc sees while ``step()`` runs."""
-    tracemalloc.start()
-    try:
-        step()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def random_weights(n, density, rng):
@@ -121,6 +110,26 @@ class TestSimilarityMatrix:
         with pytest.raises(DataError) as exc:
             similarity_matrix(x)
         assert "subject 1" in str(exc.value)
+
+    @pytest.mark.parametrize("metric", ["pearson", "cosine"])
+    @pytest.mark.parametrize("build", ["build_graph", "similarity_matrix"])
+    @pytest.mark.parametrize("fault, row, message", [
+        ("inf", 2, "feature values too large"),
+        ("nan", 2, "feature value is nan"),
+        ("times-1e200", 0, "feature values too large"),  # every row: each sum of squares overflows
+    ])
+    def test_row_a_dataset_refuses_names_its_subject(self, metric, build, fault, row, message):
+        # a row holding a nan or an infinity, or whose sum of squares overflows, has no similarity to weight
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        if fault == "times-1e200":
+            x *= 1e200
+        else:
+            x[2, 1] = float(fault)
+        col = MetaColumn("g", "categorical", ["a", "b"] * 3)
+        step = {"build_graph": lambda: build_graph(col, x, metric=metric),
+                "similarity_matrix": lambda: similarity_matrix(x, metric)}[build]
+        with pytest.raises(DataError, match=rf"^subject {row}: {message}"):
+            step()
 
     def test_cosine_metric(self):
         x = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
@@ -284,7 +293,7 @@ class TestAffinityGraph:
         assert graph.normalized is operator
         assert calls == [weights]
 
-    @pytest.mark.parametrize("build", ["metadata", "random"])
+    @pytest.mark.parametrize("build", ["metadata", "random", "dense-random"])
     def test_build_beyond_physical_memory(self, monkeypatch, build):
         n, d = 100, 4
         col = MetaColumn("site", "categorical", np.arange(n) % 3)  # codes held by 34, 33 and 33 subjects
@@ -296,13 +305,17 @@ class TestAffinityGraph:
             error, need = DataError, rf"n={n} with {entries} edge entries needs {needed} bytes to build a graph"
             step = lambda: build_graph(col, x)  # noqa: E731
         else:
-            needed = 9 * n * n  # one N x N float64 and one N x N bool
+            # at density 0.1 the draw's N x N float64 and N x N bool; at density 1, two N x N bools and 33 bytes for
+            # each of about N x N stored entries
+            density, per_pair = (0.1, 9) if build == "random" else (1.0, 35)
+            needed = per_pair * n * n
             error, need = ParameterError, rf"n={n} needs {needed} bytes of N x N arrays"
-            step = lambda: random_graph(n, 0.1, seed=0)  # noqa: E731
+            step = lambda: random_graph(n, density, seed=0)  # noqa: E731
         monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed)
         assert step().n == n
         monkeypatch.setattr(pgcn.errors, "_physical_memory_bytes", lambda: needed - 1)
         monkeypatch.setattr(pgcn.graphs, "_edge_pairs", forbidden)  # refused before any array is sized by the edges
+        monkeypatch.setattr(np.random, "default_rng", forbidden)  # and before random_graph's draw
         with pytest.raises(error, match=need):
             step()
 
@@ -325,11 +338,16 @@ def forbidden(*args):
 
 
 class TestRandomGraph:
-    def test_peak_bytes_per_vertex_pair(self):
-        # the draw is one N x N float64; going through a dense float64 copy of the adjacency peaked at 31 bytes a
-        # pair, and the bool adjacency straight to a float64 CSR reads 18.5
+    @pytest.mark.parametrize("density, per_pair", [(0.01, 9), (0.5, 18.5), (1.0, 35)])
+    def test_peak_bytes_per_vertex_pair(self, density, per_pair):
+        # the draw is one N x N float64 and one N x N bool; the stored edges then take two N x N bools and 33 bytes
+        # an entry, which peaks at 18.5 bytes a pair at density 0.5 and 35 at density 1.  The memory check sizes
+        # the same peak, less a few array headers: going through a dense float64 copy of the adjacency peaked at 31
+        # bytes a pair at 0.5
         n = 1000
-        assert traced_peak(lambda: random_graph(n, 0.5, seed=4)) < 24 * n * n
+        assert traced_peak(lambda: random_graph(n, density, seed=4)) < per_pair * n * n + 4096
+        memory = n * n * max(pgcn.graphs.GRAPH_BUILD_PAIR_BYTES, 2 + pgcn.graphs.RANDOM_ENTRY_BYTES * density)
+        assert memory == pytest.approx(per_pair * n * n)
 
     def test_deterministic(self):
         g1 = random_graph(20, 0.3, seed=99)

@@ -34,6 +34,9 @@ ODD = [" ", "\t", "\x0b", "\x85", "\u2028", "\ufeff", '"', "'", "#", "-", "\u00e
        "nan", "subject_id", "label"]
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
            0.1 + 0.2, 1 / 3, 1e16 + 2, 123456789.01234567]
+# history cells from_csv cannot read a float from, and epochs it cannot read an int from (np.int64 it can)
+NON_NUMBERS = [None, "0.5", "x", 1j, 10 ** 400]
+EPOCHS = [0.5, 2.0, True, np.int64(7)]
 SEEDS = range(100)
 
 
@@ -67,8 +70,8 @@ def draw_dataset(rng):
         else:
             meta.append(MetaColumn(draw_text(rng, 0.05), "categorical", [draw_text(rng, 0.02) for _ in range(n)]))
     ids = []
-    while len(ids) < n:  # distinct, since a Dataset refuses duplicate ids
-        text = draw_text(rng, 0.02)
+    while len(ids) < n:  # distinct, since a Dataset refuses duplicate ids; now and then an int, which no reader gives
+        text = draw_text(rng, 0.02) if rng.random() < 0.97 else int(rng.integers(10))
         ids += [] if text in ids else [text]
     labeled = rng.random(n) < 0.7
     try:
@@ -80,7 +83,8 @@ def draw_dataset(rng):
 def draw_history(rng):
     """0-4 epochs of 0-4 ranking weights, now and then a ragged one.
 
-    Cells are floats or numpy float64 scalars; nan, infinities and subnormals are among them.
+    Cells are floats or numpy float64 scalars; nan, infinities and subnormals are among them.  Now and
+    then a cell is one of ``NON_NUMBERS`` or an epoch one of ``EPOCHS``.
     """
     n_omega = int(rng.integers(0, 5))
     pool = [float("nan"), -float("nan"), float("inf"), -float("inf")]
@@ -88,6 +92,10 @@ def draw_history(rng):
     for epoch in range(1, rng.integers(0, 5) + 1):
         cells = [pool[rng.integers(4)] if rng.random() < 0.2 else v for v in draw_floats(rng, 3 + n_omega).tolist()]
         cells = [np.float64(v) if rng.random() < 0.2 else v for v in cells]
+        if rng.random() < 0.04:
+            cells[rng.integers(len(cells))] = NON_NUMBERS[rng.integers(len(NON_NUMBERS))]
+        if rng.random() < 0.04:
+            epoch = EPOCHS[rng.integers(len(EPOCHS))]
         omega = cells[3:] if rng.random() < 0.9 else cells[3:] + [0.5]
         records.append(EpochRecord(epoch, cells[0], cells[1], cells[2], tuple(omega)))
     return TrainHistory(records=records)
@@ -138,7 +146,7 @@ def dataset_outcome(seed, out):
     if not written_or_refused(lambda: write_dataset(dataset, out), out):
         return "refused"
     loaded = load_dataset(out / "features.csv", out / "meta.csv", out / "labels.csv")
-    assert loaded.subject_ids == [str(s) for s in dataset.subject_ids]
+    assert loaded.subject_ids == dataset.subject_ids
     assert bits(loaded.X) == bits(dataset.X)
     assert [(c.name, c.kind) for c in loaded.meta] == [(c.name, c.kind) for c in dataset.meta]
     for got, want in zip(loaded.meta, dataset.meta):

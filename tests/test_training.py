@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -454,3 +455,19 @@ class TestHistoryCsv:
         with pytest.raises(DataError, match="a history needs epochs with one nonzero count of omegas"):
             TrainHistory(records=records).to_csv(tmp_path / "history.csv")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("epoch, cell", [(1, "x"), (1, "0.5"), (1, None), (1, 10 ** 400), (1.5, 0.5),
+                                             (True, 0.5), (np.float64(1.0), 0.5)],
+                             ids=["text", "numeric-text", "none", "huge-int", "fraction", "bool", "numpy-float"])
+    def test_cell_from_csv_cannot_read_back_is_refused_before_writing(self, tmp_path, epoch, cell):
+        # from_csv reads int epochs and float cells; a str cell, even "0.5", is not one, and 1.5 or True is no epoch
+        records = [EpochRecord(1, 0.5, 0.5, 1.0, (0.5,)), EpochRecord(epoch, 0.5, cell, 1.0, (0.5,))]
+        with pytest.raises(DataError, match=re.escape(f"epoch {epoch!r}: a history holds int epochs and float cells")):
+            TrainHistory(records=records).to_csv(tmp_path / "history.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_epoch_and_int_cells_read_back(self, tmp_path):
+        path = tmp_path / "history.csv"
+        TrainHistory(records=[EpochRecord(np.int64(3), 0.5, np.float64(0.25), 1, (True,))]).to_csv(path)
+        assert path.read_text().splitlines()[1] == "3,0.5,0.25,1.0,1.0"
+        assert TrainHistory.from_csv(path).records == [EpochRecord(3, 0.5, 0.25, 1.0, (1.0,))]
