@@ -162,8 +162,9 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     recorded as degenerate with nan ``t`` and ``p``, unless every
     training trajectory of the two arms matches, which marks them as
     identical experiments and raises :class:`DegenerateInputError`.
-    With two classes, a split whose validation set lacks a class leaves
-    AUC undefined and raises :class:`ParameterError` before any run trains.
+    With more than two classes AUC is the macro one-vs-rest mean; a split
+    whose validation set lacks a class leaves it undefined and raises
+    :class:`ParameterError` before any run trains.
     So does a study whose splits and histories, sized from ``repeats``,
     the arms and ``config.max_epochs``, exceed physical memory, before
     the first split is drawn.
@@ -200,28 +201,27 @@ def cross_validate(dataset, arms, config, repeats=10, val_fraction=0.1):
     for arm in arms:  # operators and plans are derived on first use: make them here, before threads share them
         for op in as_operators(arm.graphs):
             op._product_plan()
-    binary = dataset.n_classes == 2
     splits = [split_masks(dataset, val_fraction, r, config.seed) for r in range(repeats)]
     labels = dataset.labels()
-    for cls in (0, 1) if binary else ():  # AUC needs both classes in every validation set
+    for cls in range(k):  # AUC needs every class in every validation set
         if not all(np.any(val_mask & (labels == cls)) for _, val_mask in splits):
             count = np.count_nonzero(dataset.labeled_mask & (labels == cls))
             raise ParameterError(f"AUC is undefined: class {cls} has {count} labeled subjects, and "
                                  f"val_fraction {val_fraction!r} puts none of them in a validation set")
-    runs = [(arm, replace(config, seed=derive_seed(int(config.seed) & 0xFFFFFFFF, r)), train_mask, val_mask)
+    runs = [(arm, replace(config, seed=derive_seed(config.seed, r)), train_mask, val_mask)
             for arm in arms for r, (train_mask, val_mask) in enumerate(splits)]
     trained = iter(_train_runs(dataset, runs))
     results = []
     histories = {}
     for arm in arms:
         accs = np.zeros(repeats)
-        aucs = np.full(repeats, np.nan)
+        aucs = np.zeros(repeats)
         for r, (_, val_mask) in enumerate(splits):
             _, history = next(trained)
-            probs = history.best_probs
-            accs[r] = accuracy(probs, dataset.Y, val_mask)
-            if binary:
-                aucs[r] = auc(probs[val_mask, 1], labels[val_mask])
+            probs, val_labels = history.best_probs[val_mask], labels[val_mask]
+            accs[r] = accuracy(history.best_probs, dataset.Y, val_mask)
+            # with two classes the AUC of class 1, bit for bit; with more the macro one-vs-rest mean over the classes
+            aucs[r] = np.mean([auc(probs[:, c], val_labels == c) for c in (range(k) if k > 2 else [1])])
             histories[(arm.name, r)] = history
         results.append(ArmResult(name=arm.name, accuracies=accs, aucs=aucs))
 

@@ -184,14 +184,13 @@ def _scan_features(path, lines):
     return data
 
 
-def _parse_meta(path):
-    """Subject ids and metadata columns, read in one pass over the lines.
+def _parse_meta(path, raw=None):
+    """Subject ids and metadata columns, read in one pass over the lines of ``path`` (or of its bytes ``raw``).
 
-    Each line's cell count and subject id are checked first, then its
-    continuous cells are parsed with ``float``, so the first faulty line
-    raises :class:`DataError`.
+    Each line's cell count and subject id are checked first, then its cells: a categorical one must not be blank,
+    and a continuous one is parsed with ``float``.  So the first faulty line raises :class:`DataError`.
     """
-    rows = read_rows(path, "utf-8", DataError)
+    rows = read_rows(path, "utf-8", DataError, raw)
     if not rows or rows[0][1][0] != "subject_id":
         raise DataError(f"{path}: metadata header must start with 'subject_id'")
     columns = []
@@ -202,7 +201,6 @@ def _parse_meta(path):
         if name in dict(columns):
             raise DataError(f"{path}:{rows[0][0]}: two metadata columns are named {name!r}")
         columns.append((name, kind))
-    continuous = [k for k, (_, kind) in enumerate(columns, start=1) if kind == CONTINUOUS]
     body, seen = [], set()
     for lineno, cells in rows[1:]:
         if len(cells) != len(columns) + 1:
@@ -210,16 +208,19 @@ def _parse_meta(path):
         if cells[0] in seen:
             raise DataError(f"{path}:{lineno}: duplicate subject_id {cells[0]!r}")
         seen.add(cells[0])
-        for k in continuous:
-            cells[k] = _number(cells[k], path, lineno, columns[k - 1][0])
+        for k, (name, kind) in enumerate(columns, start=1):
+            if kind == CONTINUOUS:
+                cells[k] = _number(cells[k], path, lineno, name)
+            elif not cells[k].strip():
+                raise DataError(f"{path}:{lineno}: column {name!r}: blank categorical code {cells[k]!r}")
         body.append(cells)
     meta = [MetaColumn(name, kind, [cells[k] for cells in body]) for k, (name, kind) in enumerate(columns, start=1)]
     return [cells[0] for cells in body], meta
 
 
-def _parse_labels(path, n_subjects):
-    """Map each labeled subject to its class index, which must lie below ``n_subjects``."""
-    rows = read_rows(path, "utf-8", DataError)
+def _parse_labels(path, n_subjects, raw=None):
+    """Map each labeled subject of ``path``, or of its bytes ``raw``, to a class index below ``n_subjects``."""
+    rows = read_rows(path, "utf-8", DataError, raw)
     start = 1 if rows and rows[0][1] == ["subject_id", "label"] else 0
     mapping = {}
     for lineno, cells in rows[start:]:
@@ -242,9 +243,13 @@ def _parse_labels(path, n_subjects):
 
 def load_dataset(features_path, meta_path, labels_path):
     """Assemble a Dataset from the three CSV files."""
-    x = _parse_features(features_path)
-    ids, meta = _parse_meta(meta_path)
-    label_map = _parse_labels(labels_path, len(ids))
+    return _join(_parse_features(features_path), meta_path, labels_path)
+
+
+def _join(x, meta_path, labels_path, meta_raw=None, labels_raw=None):
+    """The Dataset of features ``x`` and the subjects and labels of two files, or of their bytes."""
+    ids, meta = _parse_meta(meta_path, meta_raw)
+    label_map = _parse_labels(labels_path, len(ids), labels_raw)
     if x.shape[0] != len(ids):
         raise DataError(
             f"join mismatch: {x.shape[0]} feature rows vs {len(ids)} metadata subjects"
@@ -265,61 +270,47 @@ def load_dataset(features_path, meta_path, labels_path):
 
 
 def write_dataset(dataset, out_dir):
-    """Write the three CSV files; values carry 17 significant digits.
+    """Write the three CSV files, values to 17 significant digits; returns ``(features_path, meta_path, labels_path)``.
 
-    A dataset that :func:`load_dataset` could not read back as written
-    raises :class:`DataError` before any file or directory is created.
-    Returns ``(features_path, meta_path, labels_path)``.
+    :func:`load_dataset`'s code first reads back the text of ``meta.csv`` and ``labels.csv``, with the features as
+    they are; a dataset it refuses or reads back otherwise raises :class:`DataError` before anything is created.
     """
-    names = [c.name for c in dataset.meta]
-    bad = [name for name in names if not name or ":" in name]  # meta.csv declares each column as name:kind
-    if bad:
-        raise DataError(f"metadata column name cannot be empty or contain a colon: {bad[0]!r}")
-    bad = [s for s in dataset.subject_ids if not isinstance(s, str)]
-    if bad:  # load_dataset reads every id back as a str
-        raise DataError(f"a subject id must be a str to read back as written, got {bad[0]!r}")
-    fields = [("subject id", dataset.subject_ids), ("metadata column name", names)]
-    fields += [(f"categorical code in {c.name!r}", c.values) for c in dataset.meta if c.kind == CATEGORICAL]
-    for what, values in fields:  # load_dataset splits cells at commas and lines at \n and \r
-        text = [str(v) for v in values]
-        bad = [t for t in text if any(ch in t for ch in ",\n\r")]
-        if bad:
-            raise DataError(f"{what} cannot contain a comma or a line break: {bad[0]!r}")
-        try:
-            "".join(text).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DataError(f"{what} cannot contain {exc.object[exc.start]!r}, which UTF-8 cannot encode") from None
-    if not dataset.meta and not all(str(s).strip() for s in dataset.subject_ids):  # its meta.csv line is blank
-        raise DataError("with no metadata column, a subject id cannot be blank")
-    k, n = dataset.n_classes, dataset.n_subjects  # load_dataset counts classes up to the highest label, below n
-    if dataset.labels()[dataset.labeled_mask].max(initial=-1) != k - 1 or k > n:
-        raise DataError(f"labels.csv cannot record {k} classes of {n} subjects: "
-                        f"that needs a labeled subject in class {k - 1} and at least {k} subjects")
-    os.makedirs(out_dir, exist_ok=True)
-    features_path = os.path.join(out_dir, "features.csv")
-    meta_path = os.path.join(out_dir, "meta.csv")
-    labels_path = os.path.join(out_dir, "labels.csv")
+    paths = [os.path.join(out_dir, f"{name}.csv") for name in ("features", "meta", "labels")]
+    features_path, meta_path, labels_path = paths
+    header = ["subject_id"] + [f"{c.name}:{c.kind}" for c in dataset.meta]
+    cells = [[f"{v:.17g}" for v in c.values] if c.kind == CONTINUOUS else map(str, c.values) for c in dataset.meta]
+    meta_lines = [",".join(header)] + [",".join(row) for row in zip(map(str, dataset.subject_ids), *cells)]
+    labeled = zip(dataset.subject_ids, dataset.labels().tolist(), dataset.labeled_mask)
+    labels_lines = ["subject_id,label"] + [f"{subject},{cls}" for subject, cls, is_labeled in labeled if is_labeled]
+    # surrogatepass hands a lone surrogate to the reader's decode, which refuses it by its file line
+    meta_raw, labels_raw = ("\n".join(lines + [""]).encode("utf-8", "surrogatepass")
+                            for lines in (meta_lines, labels_lines))
+    try:
+        difference = _difference(_join(dataset.X, meta_path, labels_path, meta_raw, labels_raw), dataset)
+    except DataError as exc:
+        difference = exc
+    if difference:
+        raise DataError(f"refusing to write {out_dir}: {difference}") from None
 
+    os.makedirs(out_dir, exist_ok=True)
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(f"f{j}" for j in range(dataset.n_features)) + "\n")
         for row in dataset.X:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    for path, raw in ((meta_path, meta_raw), (labels_path, labels_raw)):
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    return tuple(paths)
 
-    with open(meta_path, "w", encoding="utf-8", newline="") as fh:
-        header = ["subject_id"] + [f"{c.name}:{c.kind}" for c in dataset.meta]
-        fh.write(",".join(header) + "\n")
-        for i, subject in enumerate(dataset.subject_ids):
-            cells = [subject]
-            for col in dataset.meta:
-                v = col.values[i]
-                cells.append(f"{v:.17g}" if col.kind == CONTINUOUS else str(v))
-            fh.write(",".join(cells) + "\n")
 
-    classes = dataset.labels()
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("subject_id,label\n")
-        for i, subject in enumerate(dataset.subject_ids):
-            if dataset.labeled_mask[i]:
-                fh.write(f"{subject},{int(classes[i])}\n")
-
-    return features_path, meta_path, labels_path
+def _difference(loaded, dataset):
+    """How ``loaded`` differs from ``dataset``: in a subject id, a column or the labels; None where it does not."""
+    for got, want in zip(loaded.subject_ids, dataset.subject_ids):
+        if got != want:
+            return f"subject id {want!r} would read back as {got!r}"
+    for got, want in zip(loaded.meta, dataset.meta):
+        if (got.name, got.kind, got.values.tobytes()) != (want.name, want.kind, want.values.tobytes()):
+            return f"column {want.name!r} would read back with other values"
+    if not (np.array_equal(loaded.Y, dataset.Y) and np.array_equal(loaded.labeled_mask, dataset.labeled_mask)):
+        return f"the labels would read back as {loaded.n_classes} classes, not {dataset.n_classes}"
+    return None

@@ -54,34 +54,35 @@ class DegenerateInputError(PgcnError, ValueError):
     code = "degenerate-input"
 
 
-def read_text(path, encoding, error):
-    """The text of ``path`` with its line ends translated to ``"\\n"``, as ``open`` reads it.
+def read_text(path, encoding, error, raw=None):
+    """The text of ``path``, or of ``raw``, its bytes a writer holds, with line ends translated as ``open`` does.
 
-    A file that cannot be opened raises ``error``; a byte outside
+    One leading byte-order mark is dropped.  A file that cannot be opened raises ``error``; a byte outside
     ``encoding`` raises ``error`` naming its 1-based file line.
     """
+    if raw is None:
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        text = raw.decode(encoding)
+        text = raw.decode(encoding).removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = len((raw[:exc.start] + b".").splitlines())  # bytes split only where open splits lines
         raise error(f"{path}:{line}: byte {raw[exc.start]:#04x} is not {encoding}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def read_lines(path, encoding, error):
+def read_lines(path, encoding, error, raw=None):
     """``(file line, text)`` for each non-blank line of :func:`read_text`'s text; file lines count from 1."""
-    lines = read_text(path, encoding, error).split("\n")
+    lines = read_text(path, encoding, error, raw).split("\n")
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
-def read_rows(path, encoding, error):
+def read_rows(path, encoding, error, raw=None):
     """``(file line, cells)`` for each line of :func:`read_lines`, split at every comma; no cell is quoted."""
-    return [(lineno, line.split(",")) for lineno, line in read_lines(path, encoding, error)]
+    return [(lineno, line.split(",")) for lineno, line in read_lines(path, encoding, error, raw)]
 
 
 def _physical_memory_bytes():

@@ -232,7 +232,7 @@ def build_arm_graphs(dataset, config):
         graphs = []
         for k, source in enumerate(arm.graphs):
             if source == RANDOM_SOURCE:
-                seed = derive_seed(config.train.seed & 0xFFFFFFFF, 7919, i, k)
+                seed = derive_seed(config.train.seed, 7919, i, k)
                 graphs.append(random_graph(dataset.n_subjects, density, seed=seed))
             else:
                 graphs.append(built[source])

@@ -9,7 +9,6 @@ validation loss and the best snapshot is returned.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,50 +112,58 @@ class TrainHistory:
         return np.asarray(self.records[-1].omega)
 
     def to_csv(self, path):
-        """One line per epoch; a history :meth:`from_csv` could not read back raises :class:`DataError` before writing.
+        """One line per epoch, each cell after the epoch the repr of its float; :meth:`from_csv`'s code reads it first.
 
-        Every epoch must be an int and every other cell a real number that
-        float holds; cells are written through float, as the reader reads them.
+        A history it refuses, or reads back as other values (a nan matching
+        any nan), raises :class:`DataError` before anything is written.
         """
-        n_omega = {len(r.omega) for r in self.records}
-        if len(n_omega) != 1 or 0 in n_omega:
-            raise DataError(f"{path}: a history needs epochs with one nonzero count of omegas, got {sorted(n_omega)}")
-        header = ["epoch", "train_loss", "val_loss", "val_acc"] + [f"omega_{i + 1}" for i in range(n_omega.pop())]
-        lines = [",".join(header)]
-        for r in self.records:
-            values = (r.train_loss, r.val_loss, r.val_acc, *r.omega)
-            whole = isinstance(r.epoch, numbers.Integral) and not isinstance(r.epoch, bool)
-            try:  # through float: the repr of a numpy scalar, np.float64(0.5), is no number
-                cells = [repr(float(v)) for v in values if isinstance(v, numbers.Real)]
-            except OverflowError:  # an int beyond float's range
-                cells = []
-            if not whole or len(cells) != len(values):
-                raise DataError(f"{path}: epoch {r.epoch!r}: a history holds int epochs and float cells")
-            lines.append(",".join([str(r.epoch), *cells]))
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        def cell(value):  # a value float does not take is written as its str, for the reader to judge
+            try:
+                return repr(float(value))
+            except (TypeError, ValueError, OverflowError):
+                return str(value)
+
+        given = [(r.epoch, r.train_loss, r.val_loss, r.val_acc, *r.omega) for r in self.records]
+        n_omega = len(self.records[0].omega) if self.records else 0
+        lines = [",".join(["epoch", "train_loss", "val_loss", "val_acc"] + [f"omega_{i + 1}" for i in range(n_omega)])]
+        lines += [",".join([str(values[0]), *map(cell, values[1:])]) for values in given]
+        raw = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")  # from_csv's ascii decode refuses the rest
+        try:
+            read = _read_values(path, raw)
+        except DataError as exc:
+            raise DataError(f"refusing to write {path}: {exc}") from None
+        # a record whose text spans lines or cells holds a str, which no value read back equals
+        for k, (got, want) in enumerate(zip(read, given), 1):
+            if not all(a == b or a != a and b != b for a, b in zip(got, want)):
+                raise DataError(f"refusing to write {path}: record {k} would read back as {got}, not {want}")
+        with open(path, "wb") as fh:
+            fh.write(raw)
 
     @classmethod
     def from_csv(cls, path):
         """Read a file :meth:`to_csv` wrote; blank lines are skipped, and cells are split at commas, unquoted."""
-        rows = read_rows(path, "ascii", DataError)
-        header = rows[0][1] if rows else []
-        if header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
-            raise DataError(f"{path}: not a training-history file")
-        n_omega = len(header) - 4
-        if n_omega < 1 or header[4:] != [f"omega_{i + 1}" for i in range(n_omega)]:
-            raise DataError(f"{path}: malformed omega columns")
-        records = []
-        for lineno, row in rows[1:]:
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
-            try:
-                records.append(EpochRecord(int(row[0]), *map(float, row[1:4]), tuple(map(float, row[4:]))))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable value") from exc
-        if not records:
-            raise DataError(f"{path}: history has no epochs")
-        return cls(records=records)
+        return cls(records=[EpochRecord(*values[:4], values[4:]) for values in _read_values(path)])
+
+
+def _read_values(path, raw=None):
+    """Per epoch, ``(epoch, train_loss, val_loss, val_acc, *omega)`` read from ``path`` or its bytes ``raw``."""
+    rows = read_rows(path, "ascii", DataError, raw)
+    header = rows[0][1] if rows else []
+    if header[:4] != ["epoch", "train_loss", "val_loss", "val_acc"]:
+        raise DataError(f"{path}: not a training-history file")
+    if len(header) < 5 or header[4:] != [f"omega_{i + 1}" for i in range(len(header) - 4)]:
+        raise DataError(f"{path}: malformed omega columns")
+    values = []
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} cells")
+        try:
+            values.append((int(row[0]), *map(float, row[1:])))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable value") from exc
+    if not values:
+        raise DataError(f"{path}: history has no epochs")
+    return values
 
 
 def loss(probs, y, labeled_mask, params=None, l2_lambda=0.0):
@@ -297,7 +304,7 @@ def train(dataset, graphs, config, train_mask=None, val_mask=None, fixed_omega=N
     history = TrainHistory(records=[], best_epoch=0)
     best_val, best_params = np.inf, None
     for epoch in range(1, config.max_epochs + 1):
-        cache = forward(x, ops, params, [config.seed & 0xFFFFFFFF, 101, epoch], config.dropout_p)
+        cache = forward(x, ops, params, [config.seed, 101, epoch], config.dropout_p)
         train_loss = loss(cache.probs, y, train_mask, params, config.l2_lambda)
         grads = backward(cache, y, train_mask, config.l2_lambda)
         if fixed_omega is not None or epoch <= config.omega_warmup_epochs:

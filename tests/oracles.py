@@ -29,6 +29,12 @@ def brute_force_auc(scores, labels):
     return wins / pairs
 
 
+def brute_force_macro_auc(probs, labels):
+    """Exact macro one-vs-rest AUC: the mean over classes c of :func:`brute_force_auc` of column c against class c."""
+    k = probs.shape[1]
+    return sum(brute_force_auc(probs[:, c].tolist(), (labels == c).astype(int).tolist()) for c in range(k)) / k
+
+
 def power_iteration_radius(dense, iters=200, seed=0):
     """Spectral-radius estimate of a symmetric matrix by power iteration."""
     rng = np.random.default_rng(seed)

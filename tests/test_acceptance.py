@@ -10,12 +10,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.stats
 from oracles import bayes_accuracy, brute_force_auc, power_iteration_radius
 
 from pgcn.cli import gradcheck_instance, main
 from pgcn.crossval import Arm, cross_validate
 from pgcn.data import synth_generate
-from pgcn.graphs import build_affinity, build_graph, normalize
+from pgcn.graphs import MetaColumn, build_affinity, build_graph, normalize
 from pgcn.linalg import SparseSymMatrix, matmul, spmm
 from pgcn.model import ModelParams, forward, init_params, rank_combine
 from pgcn.stats import paired_t_test, stratified_mc_split
@@ -216,6 +217,36 @@ class TestRankingLayerLearning:
             f"errors below the Bayes ceiling {ceiling:.3f} over {n_val_total} "
             "validation subjects"
         )
+
+
+class TestRankingLayerOrdering:
+    def test_graphs_rank_by_their_relevance(self):
+        # Five binary columns copy the label with agreement 0.9 ... 0.5, so their relevance falls in that order; a
+        # seed's ranking is the order of its final |omega|.  Under a random order, Spearman's rho over 5 items has
+        # mean 0 and variance 1/(5 - 1) = 1/4, so a mean over 10 seeds has SD 0.5 / sqrt(10) = 0.158, and the 0.7
+        # bar sits 4.4 SD above chance.
+        agreements = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+        t0 = time.perf_counter()
+        first, rhos = 0, []
+        for seed in range(10):
+            dataset, _, _ = synth_generate(200, 10, seed=seed)
+            labels = dataset.labels()
+            rng = np.random.default_rng([seed, 77])
+            graphs = []
+            for k, agree in enumerate(agreements):
+                codes = np.where(rng.random(dataset.n_subjects) < agree, labels, 1 - labels).astype(str)
+                graphs.append(build_graph(MetaColumn(f"agree{k}", "categorical", codes), dataset.X))
+            _, history = train(dataset, graphs, TrainConfig(seed=seed, l2_lambda=2e-2))
+            weight = np.abs(history.final_omega())
+            first += int(np.argmax(weight) == 0)
+            rhos.append(scipy.stats.spearmanr(weight, agreements).statistic)
+        elapsed = time.perf_counter() - t0
+        mean_rho = float(np.mean(rhos))
+        ok = first >= 9 and mean_rho >= 0.7
+        report("ranking-layer ordering", ok, f"0.9 graph first {first}/10, mean Spearman {mean_rho:.2f} "
+               f"(min {min(rhos):.2f}), {elapsed:.1f}s")
+        assert first >= 9
+        assert mean_rho >= 0.7, rhos
 
 
 class TestDirectionalOrdering:

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -6,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from counting import count_spmm_calls, force_run_threads, planned_graphs
+from oracles import brute_force_macro_auc
 
 import pgcn.crossval
 import pgcn.errors
 from pgcn.crossval import Arm, cross_validate, derive_seed
 from pgcn.data import Dataset, synth_generate
 from pgcn.errors import ConfigError, DegenerateInputError, ParameterError
-from pgcn.graphs import build_graph
+from pgcn.graphs import MetaColumn, build_graph
 from pgcn.training import TrainConfig, split_masks, train
 
 
@@ -138,8 +140,52 @@ class TestCrossValidate:
             cross_validate(dataset, arms, quick_config(), repeats=2)
 
 
+def three_class_study(n=90, seed=3):
+    """Three balanced classes with class means drawn from N(0, 0.6^2), and a column naming the label 9 times in 10."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([0, 1, 2], n // 3)
+    x = rng.normal(0.0, 0.6, size=(3, 6))[labels] + rng.standard_normal((n, 6))
+    codes = np.where(rng.random(n) < 0.9, labels, (labels + 1) % 3).astype(str)
+    tag = MetaColumn("tag", "categorical", codes)
+    dataset = Dataset([f"s{i}" for i in range(n)], x, [tag], np.eye(3)[labels], np.ones(n, dtype=bool))
+    return dataset, build_graph(tag, x)
+
+
+class TestMultiClass:
+    def test_auc_is_the_macro_one_vs_rest_mean(self):
+        dataset, graph = three_class_study()
+        config = quick_config()
+        report = cross_validate(dataset, [Arm("tag", (graph,))], config, repeats=3, val_fraction=0.2)
+        aucs = report.arm("tag").aucs
+        for r in range(3):
+            _, val_mask = split_masks(dataset, 0.2, r, config.seed)
+            probs = report.histories[("tag", r)].best_probs[val_mask]
+            expected = brute_force_macro_auc(probs, dataset.labels()[val_mask])
+            assert math.isclose(aucs[r], expected, rel_tol=1e-15), (r, aucs[r], expected)  # a mean of rounded terms
+        assert 0.5 < report.arm("tag").mean_auc <= 1.0
+
+    def test_split_without_a_class_fails_before_any_run_trains(self, monkeypatch):
+        dataset, graph = three_class_study()
+        labeled = dataset.labeled_mask.copy()
+        labeled[np.flatnonzero(dataset.labels() == 2)[3:]] = False  # class 2 keeps 3 labeled subjects
+        sparse = Dataset(dataset.subject_ids, dataset.X, dataset.meta, dataset.Y, labeled)
+        monkeypatch.setattr(pgcn.crossval, "train", None)  # a run that trains would raise TypeError
+        message = "class 2 has 3 labeled subjects, and val_fraction 0.1 puts none of them in a validation set"
+        with pytest.raises(ParameterError, match=message):
+            cross_validate(sparse, [Arm("tag", (graph,))], quick_config(), repeats=3, val_fraction=0.1)
+
+
 class TestRepeats:
     """Each repeat of an arm is one train call on its split with its derived seed."""
+
+    def test_repeat_seeds_derive_from_the_whole_seed(self, setup, monkeypatch):
+        dataset, g_info, _ = setup
+        seeds = []
+        monkeypatch.setattr(pgcn.crossval, "train", lambda d, g, config, *rest: seeds.append(config.seed) or
+                            train(d, g, config, *rest))
+        cross_validate(dataset, [Arm("a", (g_info,))], quick_config(seed=2**32 + 19, max_epochs=2), repeats=2)
+        assert sorted(seeds) == sorted(derive_seed(2**32 + 19, r) for r in range(2))  # runs may train side by side
+        assert sorted(seeds) != sorted(derive_seed(19, r) for r in range(2))
 
     def test_each_repeat_is_a_direct_train_call(self, setup):
         dataset, g_info, g_nui = setup

@@ -157,15 +157,53 @@ class TestRoundTrip:
             name = bad
         meta = [dataset.meta[0], MetaColumn(name, "categorical", codes)]
         broken = Dataset(ids, dataset.X, meta, dataset.Y, dataset.labeled_mask)
-        with pytest.raises(DataError, match=f"cannot contain a comma or a line break: {re.escape(repr(bad))}$"):
+        # the reader's verdict: subject 3 sits on line 5, and a line break in its last code leaves "b" on line 6
+        fault = {"id": ":5: expected 3 cells", "code": f":{5 if char == ',' else 6}: expected 3 cells",
+                 "name": ": metadata column 'a' is not declared as name:kind"}[where]
+        with pytest.raises(DataError) as exc:
             write_dataset(broken, tmp_path)
+        assert str(exc.value) == f"refusing to write {tmp_path}: {tmp_path / 'meta.csv'}{fault}"
         assert list(tmp_path.iterdir()) == []
 
     def test_subject_id_that_is_not_a_str_is_refused_before_writing(self, tmp_path):
         # load_dataset reads every id back as a str, so an int id could not read back as written
         dataset = Dataset([0, 1, 2, 3], np.eye(4), [], np.eye(2)[[0, 1, 0, 1]], [True] * 4)
-        with pytest.raises(DataError, match="a subject id must be a str to read back as written, got 0$"):
+        with pytest.raises(DataError, match="^refusing to write .*: subject id 0 would read back as '0'$"):
             write_dataset(dataset, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blank_categorical_code_is_refused_before_writing(self, tmp_path):
+        dataset, informative, _ = synth_generate(20, 3, seed=5)
+        codes = informative.values.tolist()
+        codes[6] = " "
+        meta = [MetaColumn("informative", "categorical", codes), dataset.meta[1]]
+        broken = Dataset(dataset.subject_ids, dataset.X, meta, dataset.Y, dataset.labeled_mask)
+        out = tmp_path / "out"
+        with pytest.raises(DataError) as exc:
+            write_dataset(broken, out)
+        fault = f"{out / 'meta.csv'}:8: column 'informative': blank categorical code ' '"  # subject 6 is on line 8
+        assert str(exc.value) == f"refusing to write {out}: {fault}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_code_that_would_read_back_otherwise_is_refused_before_writing(self, tmp_path):
+        # a line break ending the last cell leaves a blank line, which the reader skips, so the code would lose it
+        dataset, _, nuisance = synth_generate(20, 3, seed=5)
+        codes = nuisance.values.tolist()
+        codes[3] += "\n"
+        meta = [dataset.meta[0], MetaColumn("nuisance", "categorical", codes)]
+        broken = Dataset(dataset.subject_ids, dataset.X, meta, dataset.Y, dataset.labeled_mask)
+        message = "^refusing to write .*: column 'nuisance' would read back with other values$"
+        with pytest.raises(DataError, match=message):
+            write_dataset(broken, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_class_count_labels_csv_cannot_carry_is_refused_before_writing(self, tmp_path):
+        # labels.csv counts classes up to the highest label, so a third class no labeled subject holds is lost
+        dataset, _, _ = synth_generate(20, 3, seed=5)
+        wider = Dataset(dataset.subject_ids, dataset.X, dataset.meta, np.hstack([dataset.Y, np.zeros((20, 1))]),
+                        dataset.labeled_mask)
+        with pytest.raises(DataError, match="^refusing to write .*: the labels would read back as 2 classes, not 3$"):
+            write_dataset(wider, tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["a:b", ""])
@@ -173,8 +211,10 @@ class TestRoundTrip:
         dataset, _, _ = synth_generate(20, 3, seed=5)
         renamed = MetaColumn(name, "categorical", dataset.meta[1].values)
         broken = Dataset(dataset.subject_ids, dataset.X, [dataset.meta[0], renamed], dataset.Y, dataset.labeled_mask)
-        with pytest.raises(DataError, match=f"cannot be empty or contain a colon: {re.escape(repr(name))}$"):
+        with pytest.raises(DataError) as exc:
             write_dataset(broken, tmp_path / "out")
+        assert str(exc.value) == (f"refusing to write {tmp_path / 'out'}: {tmp_path / 'out' / 'meta.csv'}: "
+                                  f"metadata column {name + ':categorical'!r} is not declared as name:kind")
         assert list(tmp_path.iterdir()) == []
 
     def test_continuous_column_round_trip(self, tmp_path):
@@ -320,6 +360,10 @@ class TestLoadDataset:
             ("meta", "subject_id,age:continuous\n\na,x\nb\n", "3: column 'age': unparseable number 'x'"),
             ("meta", "subject_id,age:continuous\n\na,1\nb,\n", "4: column 'age': unparseable number ''"),
             ("meta", "\nsubject_id,g:categorical,g:continuous\na,M,1\n", "2: two metadata columns are named 'g'"),
+            # a blank code would be one category, whose subjects would all join one clique in the column's graph
+            ("meta", "subject_id,g:categorical\n\na,M\nb,\n", "4: column 'g': blank categorical code ''"),
+            ("meta", "subject_id,g:categorical,h:categorical\n\na,\t\x0b,M\nb,F,\n",
+             "3: column 'g': blank categorical code '\\t\\x0b'"),
             ("labels", "subject_id,label\n\na,0\nb,x\n", "4: unparseable class index 'x'"),
             ("labels", "subject_id,label\n\na,0\nb,-1\n", "4: class index must be >= 0, got -1"),
             ("labels", "subject_id,label\n\na,0\nb,2\n", "4: class index must be < 2, the subject count, got 2"),
@@ -328,7 +372,8 @@ class TestLoadDataset:
             ("labels", "\nsubject_id,label,extra\na,0\nb,1\n", "2: expected 'subject_id,label'"),
         ],
         ids=["features-number", "features-width", "features-crlf", "meta-number", "meta-cells", "meta-duplicate",
-             "meta-number-before-cells", "meta-empty-number", "meta-duplicate-column",
+             "meta-number-before-cells", "meta-empty-number", "meta-duplicate-column", "meta-empty-code",
+             "meta-whitespace-code-before-empty",
              "labels-class", "labels-negative", "labels-beyond-subjects", "labels-duplicate", "labels-cells",
              "labels-header-cells"],
     )
@@ -344,6 +389,29 @@ class TestLoadDataset:
         with pytest.raises(DataError) as exc:
             load_dataset(*paths)
         assert str(exc.value) == f"{path}:{message}"
+
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet tools may open a UTF-8 file with U+FEFF; without the drop the header-less features lose a row
+        bom = "\ufeff"
+        paths = self.write(tmp_path, bom + "1.5,2\n3,4\n", bom + "subject_id,g:categorical\na,M\nb,F\n",
+                           bom + "subject_id,label\na,0\nb,1\n")
+        dataset = load_dataset(*paths)
+        assert dataset.X.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+        assert dataset.subject_ids == ["a", "b"] and dataset.labeled_mask.tolist() == [True, True]
+        meta = tmp_path / "m.csv"
+        meta.write_text(bom + "subject_id,g:categorical\na,M\n" + bom + "b,F\n")  # a mark past the file start stays
+        (tmp_path / "y.csv").write_text("subject_id,label\na,0\n" + bom + "b,1\n")
+        assert load_dataset(*paths).subject_ids == ["a", bom + "b"]
+        meta.write_text(2 * bom + "subject_id,g:categorical\na,M\nb,F\n")
+        with pytest.raises(DataError, match="metadata header must start with 'subject_id'$"):
+            load_dataset(*paths)
+
+    def test_byte_order_mark_keeps_decode_faults_on_their_line(self, tmp_path):
+        paths = self.write(tmp_path, "1\n2\n", "subject_id,g:categorical\na,M\nb,F\n", "subject_id,label\na,0\nb,1\n")
+        (tmp_path / "m.csv").write_bytes(b"\xef\xbb\xbfsubject_id,g:categorical\na,M\nb,\xff\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(*paths)
+        assert str(exc.value) == f"{paths[1]}:3: byte 0xff is not utf-8"
 
     @pytest.mark.parametrize("features, meta", [
         ("f0,f1,f2\n1.5,+.5,-0\n 2e-3 ,1e-400,4.9406564584124654e-324\r\n", "a,15,M,-0\nb, 7 ,F,+.25\n"),
@@ -363,12 +431,12 @@ class TestLoadDataset:
         assert dataset.column("g").values.tolist() == ["M", "F"]
 
     def test_clean_files_are_parsed_in_bulk(self, tmp_path, monkeypatch):
+        dataset, _, _ = synth_generate(40, 6, seed=2)
+        dataset.meta.append(pgcn.data.MetaColumn("age", "continuous", np.linspace(20.0, 60.0, 40)))
+        paths = write_dataset(dataset, tmp_path)  # before counting: the writer runs the meta.csv parse too
         calls = []
         original = pgcn.data._number
         monkeypatch.setattr(pgcn.data, "_number", lambda *args: calls.append(args) or original(*args))
-        dataset, _, _ = synth_generate(40, 6, seed=2)
-        dataset.meta.append(pgcn.data.MetaColumn("age", "continuous", np.linspace(20.0, 60.0, 40)))
-        paths = write_dataset(dataset, tmp_path)
         loaded = load_dataset(*paths)
         assert loaded.X.tobytes() == dataset.X.tobytes()
         assert loaded.column("age").values.tobytes() == dataset.column("age").values.tobytes()

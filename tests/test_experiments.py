@@ -158,7 +158,7 @@ class TestBuildArmGraphs:
         config = ExperimentConfig(arms=arms, train=small_train(seed=2**32 + 11))
         control, _, swapped = build_arm_graphs(dataset, config)
         for i, k, arm, reference in ((0, 1, control, control.graphs[0]), (2, 0, swapped, swapped.graphs[1])):
-            seed = np.random.SeedSequence((11, 7919, i, k)).generate_state(1)[0]
+            seed = np.random.SeedSequence((2**32 + 11, 7919, i, k)).generate_state(1)[0]  # the whole seed
             expected = random_graph(dataset.n_subjects, reference.density, seed=int(seed))
             np.testing.assert_array_equal(arm.graphs[k].edges.toarray(), expected.edges.toarray())
             np.testing.assert_array_equal(arm.graphs[k].weights.to_dense(), expected.weights.to_dense())

@@ -3,9 +3,12 @@
 Each draw goes through a writer (``write_dataset``, ``TrainHistory.to_csv``
 or ``save_edge_list``) and then through its reader.  Either the reader
 returns the same values, floats compared by their bits, or the writer
-raises a :class:`~pgcn.errors.PgcnError` before it creates any file.  The
-draws come from ``numpy.random.default_rng`` with fixed seeds, so a
-failing draw is reproduced by its seed alone.
+raises a :class:`~pgcn.errors.PgcnError` before it creates any file.  A
+history the format carries, epochs of one nonzero count of ranking weights
+with int epochs and float cells, nan and infinities among them, must read
+back: a writer that refuses it would keep a diverging run from writing its
+history.  The draws come from ``numpy.random.default_rng`` with fixed
+seeds, so a failing draw is reproduced by its seed alone.
 
 Two equalities are weaker than bits, because the formats cannot carry
 more.  A history cell that is a nan reads back as a nan: ``repr`` spells
@@ -160,11 +163,20 @@ def dataset_outcome(seed, out):
     return "read back"
 
 
+def carried(history):
+    """Whether the history file carries ``history``: epochs of one nonzero count of omegas, int epochs, float cells."""
+    records = history.records
+    return (len({len(r.omega) for r in records}) == 1 and len(records[0].omega) > 0
+            and all(isinstance(r.epoch, (int, np.integer)) and not isinstance(r.epoch, bool) for r in records)
+            and all(isinstance(v, float) for r in records for v in (r.train_loss, r.val_loss, r.val_acc, *r.omega)))
+
+
 def history_outcome(seed, out):
     """``"refused"`` or ``"read back"`` for the history of ``seed``, asserting the read-back values."""
     history = draw_history(np.random.default_rng([seed, 2]))
     out.mkdir()
     if not written_or_refused(lambda: history.to_csv(out / "history.csv"), out):
+        assert not carried(history), "a history the file carries was refused"
         return "refused"
     loaded = TrainHistory.from_csv(out / "history.csv")
     assert len(loaded.records) == len(history.records)

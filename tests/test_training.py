@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +205,16 @@ class TestTrain:
         assert hist_a == hist_b
         for (_, a), (_, b) in zip(params_a.tensors(), params_b.tensors()):
             np.testing.assert_array_equal(a, b)
+
+    def test_seed_is_used_whole(self):
+        # numpy's SeedSequence takes any non-negative int: 2**32 + 11 must not draw seed 11's dropout masks
+        dataset, g_info, g_nui = planted_setup(seed=6)
+        params = init_params(dataset.n_features, 8, 2, 2, seed=0)
+        masks = split_masks(dataset, 0.1, 0, 0)
+        histories = [train(dataset, [g_info, g_nui], self.quick_config(max_epochs=5, seed=seed), *masks,
+                           initial_params=params)[1] for seed in (11, 2**32 + 11, 11)]
+        assert histories[0] == histories[2]
+        assert histories[0] != histories[1]
 
     def test_identical_branches_match_single_branch_trajectory(self):
         # Linearity of the fusion layer: M copies of one branch at
@@ -449,22 +458,44 @@ class TestHistoryCsv:
         with pytest.raises(DataError, match=r":2: unparseable value$"):
             TrainHistory.from_csv(path)
 
-    @pytest.mark.parametrize("omegas", [[], [()], [(0.5,), (0.5, 0.5)]], ids=["no-epochs", "no-omega", "ragged"])
-    def test_history_from_csv_cannot_read_is_refused_before_writing(self, tmp_path, omegas):
+    @pytest.mark.parametrize("omegas, fault", [([], ": malformed omega columns"), ([()], ": malformed omega columns"),
+                                               ([(0.5,), (0.5, 0.5)], ":3: expected 5 cells")],
+                             ids=["no-epochs", "no-omega", "ragged"])
+    def test_history_from_csv_cannot_read_is_refused_before_writing(self, tmp_path, omegas, fault):
         records = [EpochRecord(k + 1, 0.5, 0.5, 1.0, omega) for k, omega in enumerate(omegas)]
-        with pytest.raises(DataError, match="a history needs epochs with one nonzero count of omegas"):
-            TrainHistory(records=records).to_csv(tmp_path / "history.csv")
+        path = tmp_path / "history.csv"
+        with pytest.raises(DataError) as exc:
+            TrainHistory(records=records).to_csv(path)
+        assert str(exc.value) == f"refusing to write {path}: {path}{fault}"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("epoch, cell", [(1, "x"), (1, "0.5"), (1, None), (1, 10 ** 400), (1.5, 0.5),
-                                             (True, 0.5), (np.float64(1.0), 0.5)],
+    @pytest.mark.parametrize("epoch, cell, read_as", [(1, "x", None), (1, "0.5", 0.5), (1, None, None),
+                                                      (1, 10 ** 400, float("inf")), (1.5, 0.5, None),
+                                                      (True, 0.5, None), (np.float64(1.0), 0.5, None)],
                              ids=["text", "numeric-text", "none", "huge-int", "fraction", "bool", "numpy-float"])
-    def test_cell_from_csv_cannot_read_back_is_refused_before_writing(self, tmp_path, epoch, cell):
-        # from_csv reads int epochs and float cells; a str cell, even "0.5", is not one, and 1.5 or True is no epoch
+    def test_cell_from_csv_cannot_read_back_is_refused_before_writing(self, tmp_path, epoch, cell, read_as):
+        # from_csv reads int epochs and float cells; a str cell, even "0.5", is not one, and 1.5 or True is no epoch.
+        # A cell float takes is written as its float, which then reads back as something else than the cell.
         records = [EpochRecord(1, 0.5, 0.5, 1.0, (0.5,)), EpochRecord(epoch, 0.5, cell, 1.0, (0.5,))]
-        with pytest.raises(DataError, match=re.escape(f"epoch {epoch!r}: a history holds int epochs and float cells")):
-            TrainHistory(records=records).to_csv(tmp_path / "history.csv")
+        path = tmp_path / "history.csv"
+        with pytest.raises(DataError) as exc:
+            TrainHistory(records=records).to_csv(path)
+        fault = (f"{path}:3: unparseable value" if read_as is None else
+                 f"record 2 would read back as {(1, 0.5, read_as, 1.0, 0.5)}, not {(epoch, 0.5, cell, 1.0, 0.5)}")
+        assert str(exc.value) == f"refusing to write {path}: {fault}"
         assert list(tmp_path.iterdir()) == []
+
+    def test_nan_infinite_and_subnormal_cells_read_back_with_the_same_text(self, tmp_path):
+        # a diverging run holds nan cells; nan != nan, so a writer comparing records with == would refuse them
+        nan = float("nan")
+        records = [EpochRecord(np.int64(1), nan, -nan, float("inf"), (-float("inf"), -0.0)),
+                   EpochRecord(np.int64(2), 5e-324, np.float64(nan), -5e-324, (2.2250738585072014e-308, 0.5))]
+        path = tmp_path / "history.csv"
+        TrainHistory(records=records).to_csv(path)
+        text = path.read_text()
+        assert text.splitlines()[1:] == ["1,nan,nan,inf,-inf,-0.0", "2,5e-324,nan,-5e-324,2.2250738585072014e-308,0.5"]
+        TrainHistory.from_csv(path).to_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text() == text
 
     def test_numpy_integer_epoch_and_int_cells_read_back(self, tmp_path):
         path = tmp_path / "history.csv"
